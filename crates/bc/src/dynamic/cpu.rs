@@ -25,13 +25,13 @@
 //! from [`CpuConfig::model_seconds`]. Per the paper's methodology, the
 //! graph-structure update itself (STINGER-lite insertion) is not timed.
 
+use super::mlq::MultiLevelQueue;
 use crate::brandes::brandes_state;
 use crate::cases::InsertionCase;
 use crate::dynamic::result::{BatchResult, OpOutcome, SourceOutcome, UpdateResult};
-use crate::obs::batch_observation;
+use crate::obs::{wall_since, Recorder, Volume};
 use crate::plan;
 use crate::state::BcState;
-use dynbc_ds::MultiLevelQueue;
 use dynbc_gpusim::{telemetry_from_env, CpuConfig, OpCounter};
 use dynbc_graph::{Csr, DynGraph, EdgeList, EdgeOp, VertexId};
 use dynbc_telemetry::{Span, Telemetry};
@@ -129,7 +129,7 @@ pub struct CpuDynamicBc {
     /// Cumulative modeled seconds across all updates — the CPU analogue of
     /// the GPU engines' device clock, giving telemetry spans a timeline.
     model_clock_s: f64,
-    telemetry: Option<Box<Telemetry>>,
+    rec: Recorder,
 }
 
 impl CpuDynamicBc {
@@ -148,51 +148,34 @@ impl CpuDynamicBc {
             scratch: Scratch::new(n),
             total_ops: OpCounter::new(),
             model_clock_s: 0.0,
-            telemetry: telemetry_from_env().then(|| Box::new(Telemetry::new())),
+            rec: Recorder::new(telemetry_from_env()),
         }
     }
 
-    /// Enables/disables telemetry for every batch this engine applies
-    /// (builder form). Overrides `DYNBC_TELEMETRY`. When on, `apply_batch`
+    /// Enables/disables telemetry for every batch this engine applies;
+    /// overrides `DYNBC_TELEMETRY`. When on, `apply_batch`
     /// records update metrics (latency, touched fractions, case tallies)
     /// and lifecycle spans into [`telemetry_report`](Self::telemetry_report);
     /// results are unaffected.
     pub fn with_telemetry(mut self, on: bool) -> Self {
-        self.set_telemetry(on);
+        self.rec.enable(on);
         self
-    }
-
-    /// Enables/disables telemetry for every batch this engine applies.
-    pub fn set_telemetry(&mut self, on: bool) {
-        if on {
-            if self.telemetry.is_none() {
-                self.telemetry = Some(Box::new(Telemetry::new()));
-            }
-        } else {
-            self.telemetry = None;
-        }
     }
 
     /// True when batches record telemetry.
     pub fn telemetry(&self) -> bool {
-        self.telemetry.is_some()
+        self.rec.on()
     }
 
     /// The telemetry accumulated by batches applied with telemetry on.
     pub fn telemetry_report(&self) -> Option<&Telemetry> {
-        self.telemetry.as_deref()
+        self.rec.report()
     }
 
     /// Drains the accumulated telemetry, leaving a fresh collector behind
     /// (scrape-and-continue, like a Prometheus endpoint would).
     pub fn take_telemetry_report(&mut self) -> Option<Telemetry> {
-        self.telemetry.as_mut().map(|t| std::mem::take(&mut **t))
-    }
-
-    /// Overrides the machine model used for modeled seconds.
-    pub fn with_cpu_model(mut self, cpu: CpuConfig) -> Self {
-        self.cpu = cpu;
-        self
+        self.rec.take()
     }
 
     /// Current BC state (scores + per-source trees).
@@ -240,27 +223,19 @@ impl CpuDynamicBc {
     /// Panics (before touching any engine state) if any op is a self
     /// loop, a duplicate insertion, or a removal of an absent edge.
     pub fn apply_batch(&mut self, batch: &[EdgeOp]) -> BatchResult {
-        // dynbc-lint: allow(no-wall-clock) — wall_s is an observability-only telemetry field; no model result reads it
-        let wall_start = std::time::Instant::now();
-        let tel_on = self.telemetry.is_some();
-        plan::validate_batch(&mut self.graph, batch);
-        let validate_wall = if tel_on {
-            wall_start.elapsed().as_secs_f64()
-        } else {
-            0.0
-        };
         let clock_before = self.model_clock_s;
+        let mut rb = self.rec.begin(clock_before);
+        plan::validate_batch(&mut self.graph, batch);
+        rb.validated();
 
         // Counters accumulate per op (`op_ops`) and fold into the batch
         // total; the counter sums — and therefore the modeled seconds —
         // are exactly what one shared accumulator produced, while the
         // per-op subtotals give telemetry spans their durations.
         let mut batch_ops = OpCounter::new();
-        let mut op_spans: Vec<Span> = Vec::new();
         let mut per_op = Vec::with_capacity(batch.len());
         for (op_idx, &op) in batch.iter().enumerate() {
-            // dynbc-lint: allow(no-wall-clock) — wall_s is an observability-only telemetry field; no model result reads it
-            let op_t = tel_on.then(std::time::Instant::now);
+            let op_t = rb.timer();
             let mut ops = OpCounter::new();
             let planned = plan::plan_op(&mut self.graph, &self.state.d, op);
             // Classification charge: one two-load compare per source,
@@ -330,17 +305,15 @@ impl CpuDynamicBc {
                 cases: planned.cases,
                 per_source,
             });
-            if tel_on {
-                let op_model = self.cpu.model_seconds(&ops);
-                let op_wall = op_t.map_or(0.0, |t| t.elapsed().as_secs_f64());
-                op_spans.push(
+            if rb.on() {
+                rb.push(
                     Span::new(
                         format!("op#{op_idx}"),
                         1,
                         clock_before + self.cpu.model_seconds(&batch_ops),
-                        op_model,
+                        self.cpu.model_seconds(&ops),
                     )
-                    .wall(op_wall)
+                    .wall(wall_since(op_t))
                     .arg("sources", per_op[op_idx].per_source.len() as f64),
                 );
             }
@@ -348,32 +321,15 @@ impl CpuDynamicBc {
         }
         self.total_ops.add(&batch_ops);
         let model_seconds = self.cpu.model_seconds(&batch_ops);
-        let wall_seconds = wall_start.elapsed().as_secs_f64();
         self.model_clock_s += model_seconds;
-
-        if let Some(tel) = self.telemetry.as_deref_mut() {
-            tel.push_span(
-                Span::new("update", 0, clock_before, model_seconds)
-                    .wall(wall_seconds)
-                    .arg("ops", batch.len() as f64),
-            );
-            tel.push_span(Span::instant("validate", 1, clock_before, validate_wall));
-            for s in op_spans {
-                tel.push_span(s);
-            }
-            let n = self.state.bc.len();
-            // The CPU baseline has no cache model: empty counters keep the
-            // memsim families undefined in its telemetry.
-            tel.record_update(&batch_observation(
-                &per_op,
-                n,
-                model_seconds,
-                wall_seconds,
-                batch_ops.queue_ops,
-                0,
-                dynbc_telemetry::CacheCounters::default(),
-            ));
-        }
+        // The CPU baseline has no dedup pass and no cache model: empty
+        // cache counters keep the memsim families undefined.
+        let wall_seconds = self
+            .rec
+            .finish(rb, model_seconds, &per_op, self.state.bc.len(), || Volume {
+                queue_ops: batch_ops.queue_ops,
+                ..Volume::default()
+            });
 
         BatchResult {
             per_op,

@@ -2,7 +2,9 @@
 
 pub mod cpu;
 pub mod delete;
+pub mod mlq;
 pub mod result;
 
 pub use cpu::CpuDynamicBc;
+pub use mlq::MultiLevelQueue;
 pub use result::{BatchResult, OpOutcome, SourceOutcome, UpdateResult};

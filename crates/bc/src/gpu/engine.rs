@@ -42,13 +42,12 @@ use super::exec::{self, Backend, ExecConfig};
 use crate::brandes::brandes_state;
 use crate::cases::InsertionCase;
 use crate::dynamic::result::{BatchResult, OpOutcome, SourceOutcome, UpdateResult};
-use crate::obs::batch_observation;
+use crate::obs::{wall_since, Recorder, Volume};
 use crate::plan::{self, PlannedOp};
 use crate::state::BcState;
 use dynbc_gpusim::knob;
 use dynbc_gpusim::{
-    telemetry_from_env, CacheConfig, CacheCounters, DeviceConfig, Gpu, GpuBuffer, KernelStats,
-    ProfileReport,
+    telemetry_from_env, CacheConfig, DeviceConfig, Gpu, GpuBuffer, KernelStats, ProfileReport,
 };
 use dynbc_graph::{Csr, DynGraph, EdgeList, EdgeOp, SlackCsr, VertexId};
 use dynbc_telemetry::{Span, Telemetry};
@@ -172,7 +171,7 @@ pub struct GpuDynamicBc {
     /// backend reads adjacency through this one store, via per-op
     /// versioned views.
     store: SlackGraphBuffers,
-    telemetry: Option<Box<Telemetry>>,
+    rec: Recorder,
 }
 
 impl GpuDynamicBc {
@@ -225,26 +224,20 @@ impl GpuDynamicBc {
             scratch_t_dirty: false,
             slack,
             store,
-            telemetry: telemetry_from_env().then(|| Box::new(Telemetry::new())),
+            rec: Recorder::new(telemetry_from_env()),
         }
     }
 
-    /// Selects the execution backend (builder form). Overrides
+    /// Selects the execution backend; overrides
     /// `DYNBC_BACKEND`. Edge-parallel engines have no native kernels and
     /// silently keep the simulator. All backends produce bit-identical
     /// results; they trade the cost model and profiler (simulator) for
     /// wall-clock speed (native/hybrid).
     pub fn with_backend(mut self, backend: Backend) -> Self {
-        self.set_backend(backend);
-        self
-    }
-
-    /// Selects the execution backend. Edge-parallel engines keep the
-    /// simulator regardless.
-    pub fn set_backend(&mut self, backend: Backend) {
         if self.par == Parallelism::Node {
             self.backend = backend;
         }
+        self
     }
 
     /// The execution backend batches run on.
@@ -276,8 +269,8 @@ impl GpuDynamicBc {
         self
     }
 
-    /// Pins the number of host threads simulated blocks run on (builder
-    /// form; `1` forces the sequential legacy path). Results are
+    /// Pins the number of host threads simulated blocks run on (`1`
+    /// forces the sequential legacy path). Results are
     /// bit-identical for any value — this knob only trades wall-clock
     /// time.
     pub fn with_host_threads(mut self, threads: usize) -> Self {
@@ -285,23 +278,13 @@ impl GpuDynamicBc {
         self
     }
 
-    /// Pins the number of host threads simulated blocks run on.
-    pub fn set_host_threads(&mut self, threads: usize) {
-        self.gpu.set_host_threads(threads);
-    }
-
     /// Enables/disables checked (racecheck) execution for every launch
-    /// this engine performs (builder form). Overrides `DYNBC_RACECHECK`.
+    /// this engine performs; overrides `DYNBC_RACECHECK`.
     /// Checked runs panic on any error-severity diagnostic and tally
     /// warnings in [`racecheck_warnings`](Self::racecheck_warnings).
     pub fn with_racecheck(mut self, on: bool) -> Self {
         self.gpu.set_racecheck(on);
         self
-    }
-
-    /// Enables/disables checked (racecheck) execution for every launch.
-    pub fn set_racecheck(&mut self, on: bool) {
-        self.gpu.set_racecheck(on);
     }
 
     /// Warning-severity diagnostics accumulated across checked launches.
@@ -315,7 +298,7 @@ impl GpuDynamicBc {
     }
 
     /// Enables/disables profiled execution for every launch this engine
-    /// performs (builder form). Overrides `DYNBC_PROFILE`. Profiled runs
+    /// performs; overrides `DYNBC_PROFILE`. Profiled runs
     /// collect per-kernel/per-stage hardware-style counters into
     /// [`profile_report`](Self::profile_report); results are unaffected
     /// and the counters are bit-identical for any host-thread count.
@@ -324,18 +307,13 @@ impl GpuDynamicBc {
         self
     }
 
-    /// Enables/disables profiled execution for every launch.
-    pub fn set_profiling(&mut self, on: bool) {
-        self.gpu.set_profiling(on);
-    }
-
     /// True when launches run under the profiler.
     pub fn profiling(&self) -> bool {
         self.gpu.profiling()
     }
 
     /// Enables/disables the memsim cache-hierarchy model for every launch
-    /// this engine performs (builder form). Overrides `DYNBC_MEMSIM`.
+    /// this engine performs; overrides `DYNBC_MEMSIM`.
     /// Memsim implies profiling: each launch's `LaunchProfile` carries
     /// L1/L2 hit/miss/eviction counters and per-buffer miss attribution.
     /// Results are unaffected — the model observes the memory-transaction
@@ -346,27 +324,16 @@ impl GpuDynamicBc {
         self
     }
 
-    /// Enables/disables the memsim cache-hierarchy model for every launch.
-    pub fn set_memsim(&mut self, on: bool) {
-        self.gpu.set_memsim(on);
-    }
-
     /// True when launches run under the cache-hierarchy model.
     pub fn memsim(&self) -> bool {
         self.gpu.memsim()
     }
 
-    /// Overrides the modeled cache geometry (builder form). Overrides the
-    /// `DYNBC_L1_*`/`DYNBC_L2_*` knobs and resets the device's persistent
-    /// L2 state.
+    /// Overrides the modeled cache geometry (and the `DYNBC_L1_*`/
+    /// `DYNBC_L2_*` knobs), resetting the device's persistent L2 state.
     pub fn with_cache_config(mut self, cfg: CacheConfig) -> Self {
         self.gpu.set_cache_config(cfg);
         self
-    }
-
-    /// Overrides the modeled cache geometry and resets the L2 state.
-    pub fn set_cache_config(&mut self, cfg: CacheConfig) {
-        self.gpu.set_cache_config(cfg);
     }
 
     /// The profiles accumulated by launches that ran with profiling on.
@@ -380,43 +347,32 @@ impl GpuDynamicBc {
         self.gpu.take_profile_report()
     }
 
-    /// Enables/disables telemetry for every batch this engine applies
-    /// (builder form). Overrides `DYNBC_TELEMETRY`. When on, `apply_batch`
+    /// Enables/disables telemetry for every batch this engine applies;
+    /// overrides `DYNBC_TELEMETRY`. When on, `apply_batch`
     /// records update metrics (latency, touched fractions, case tallies)
     /// and lifecycle spans into [`telemetry_report`](Self::telemetry_report);
     /// results are unaffected and the model-clock metrics are bit-identical
     /// for any host-thread count.
     pub fn with_telemetry(mut self, on: bool) -> Self {
-        self.set_telemetry(on);
-        self
-    }
-
-    /// Enables/disables telemetry for every batch this engine applies.
-    pub fn set_telemetry(&mut self, on: bool) {
         self.gpu.set_span_log(on);
-        if on {
-            if self.telemetry.is_none() {
-                self.telemetry = Some(Box::new(Telemetry::new()));
-            }
-        } else {
-            self.telemetry = None;
-        }
+        self.rec.enable(on);
+        self
     }
 
     /// True when batches record telemetry.
     pub fn telemetry(&self) -> bool {
-        self.telemetry.is_some()
+        self.rec.on()
     }
 
     /// The telemetry accumulated by batches applied with telemetry on.
     pub fn telemetry_report(&self) -> Option<&Telemetry> {
-        self.telemetry.as_deref()
+        self.rec.report()
     }
 
     /// Drains the accumulated telemetry, leaving a fresh collector behind
     /// (scrape-and-continue, like a Prometheus endpoint would).
     pub fn take_telemetry_report(&mut self) -> Option<Telemetry> {
-        self.telemetry.as_mut().map(|t| std::mem::take(&mut **t))
+        self.rec.take()
     }
 
     /// The number of host threads launches fan blocks over.
@@ -427,6 +383,11 @@ impl GpuDynamicBc {
     /// The decomposition this engine uses.
     pub fn parallelism(&self) -> Parallelism {
         self.par
+    }
+
+    /// The simulated device this engine runs on.
+    pub fn device(&self) -> &DeviceConfig {
+        self.gpu.device()
     }
 
     /// The engine's current graph.
@@ -496,19 +457,12 @@ impl GpuDynamicBc {
     /// Panics (before touching any engine state) if any op is a self
     /// loop, a duplicate insertion, or a removal of an absent edge.
     pub fn apply_batch(&mut self, batch: &[EdgeOp]) -> BatchResult {
-        // dynbc-lint: allow(no-wall-clock) — wall_s is an observability-only telemetry field; no model result reads it
-        let wall_start = std::time::Instant::now();
-        let tel_on = self.telemetry.is_some();
-        plan::validate_batch(&mut self.graph, batch);
-        let validate_wall = if tel_on {
-            wall_start.elapsed().as_secs_f64()
-        } else {
-            0.0
-        };
         let clock_before = self.gpu.elapsed_seconds();
+        let mut rb = self.rec.begin(clock_before);
+        plan::validate_batch(&mut self.graph, batch);
+        rb.validated();
         let prof_launches_before = self.gpu.profile_report().launches.len();
-        let mut stage_spans: Vec<Span> = Vec::new();
-        if tel_on {
+        if rb.on() {
             // Launches before this batch (e.g. the initial upload path)
             // belong to no lifecycle span; drop them.
             self.gpu.take_launch_spans();
@@ -525,8 +479,7 @@ impl GpuDynamicBc {
             // delta into the slack store; its work items read the store at
             // that version, so the fused launch sees exactly the adjacency
             // the sequential path would.
-            // dynbc-lint: allow(no-wall-clock) — wall_s is an observability-only telemetry field; no model result reads it
-            let plan_t = tel_on.then(std::time::Instant::now);
+            let plan_t = rb.timer();
             // Stage-start distance rows, borrowed straight from the
             // device buffer (classification only reads; nothing writes
             // `d` until the stage executes). The borrow is a field-level
@@ -563,10 +516,9 @@ impl GpuDynamicBc {
 
             // Scratch sized by batch width: queue rows for the widest
             // snapshot, one BC-delta slab row per (op, block) pair.
-            let plan_wall = plan_t.map_or(0.0, |t| t.elapsed().as_secs_f64());
+            let plan_wall = wall_since(plan_t);
             let stage_clock0 = self.gpu.elapsed_seconds();
-            // dynbc-lint: allow(no-wall-clock) — wall_s is an observability-only telemetry field; no model result reads it
-            let exec_t = tel_on.then(std::time::Instant::now);
+            let exec_t = rb.timer();
 
             self.scr.ensure_arc_capacity(self.store.capacity + 4096);
             self.scr.ensure_bc_rows(stage.len() * self.num_blocks);
@@ -674,15 +626,12 @@ impl GpuDynamicBc {
             // like all staging).
             self.slack.settle();
             self.store.sync(&mut self.slack);
-            if tel_on {
-                if let (Some(cpu), Some(tel)) = (routed, self.telemetry.as_deref_mut()) {
-                    tel.record_router_stage(cpu, route_t.elapsed().as_secs_f64());
-                }
+            if let (Some(cpu), Some(tel)) = (routed, self.rec.telemetry_mut()) {
+                tel.record_router_stage(cpu, route_t.elapsed().as_secs_f64());
             }
             let stage_clock1 = self.gpu.elapsed_seconds();
-            let exec_wall = exec_t.map_or(0.0, |t| t.elapsed().as_secs_f64());
-            // dynbc-lint: allow(no-wall-clock) — wall_s is an observability-only telemetry field; no model result reads it
-            let commit_t = tel_on.then(std::time::Instant::now);
+            let exec_wall = wall_since(exec_t);
+            let commit_t = rb.timer();
 
             for planned in &stage {
                 per_op.push(OpOutcome {
@@ -702,10 +651,10 @@ impl GpuDynamicBc {
                 per_op[stage_base + op_slot].per_source[row].touched = t;
             }
 
-            if tel_on {
+            if rb.on() {
                 let launches = self.gpu.take_launch_spans();
-                let commit_wall = commit_t.map_or(0.0, |t| t.elapsed().as_secs_f64());
-                stage_spans.push(
+                let commit_wall = wall_since(commit_t);
+                rb.push(
                     Span::new(
                         format!("stage#{stage_idx}"),
                         1,
@@ -715,18 +664,18 @@ impl GpuDynamicBc {
                     .wall(exec_wall)
                     .arg("ops", stage.len() as f64),
                 );
-                stage_spans.push(
+                rb.push(
                     Span::instant("plan", 2, stage_clock0, plan_wall)
                         .arg("stage", stage_idx as f64),
                 );
                 for ls in launches {
-                    stage_spans.push(
+                    rb.push(
                         Span::new(ls.kernel, 2, ls.start_s, ls.dur_s)
                             .wall(ls.wall_s)
                             .arg("num_blocks", ls.num_blocks as f64),
                     );
                 }
-                stage_spans.push(
+                rb.push(
                     Span::instant("commit", 2, stage_clock1, commit_wall)
                         .arg("stage", stage_idx as f64),
                 );
@@ -735,37 +684,14 @@ impl GpuDynamicBc {
         }
 
         let model_seconds = self.gpu.elapsed_seconds() - clock_before;
-        let wall_seconds = wall_start.elapsed().as_secs_f64();
-        if let Some(tel) = self.telemetry.as_deref_mut() {
-            tel.push_span(
-                Span::new("update", 0, clock_before, model_seconds)
-                    .wall(wall_seconds)
-                    .arg("ops", batch.len() as f64),
-            );
-            tel.push_span(Span::instant("validate", 1, clock_before, validate_wall));
-            for s in stage_spans {
-                tel.push_span(s);
-            }
-            // Queue/dedup volume and cache counters come from the
-            // profiler's kernel-annotated counters: attributed to this
-            // batch via the launches it added.
-            let mut cache = CacheCounters::default();
-            let (queue_ops, dedup_ops) = self.gpu.profile_report().launches[prof_launches_before..]
-                .iter()
-                .fold((0, 0), |(q, d), l| {
-                    cache.merge(&l.total.cache);
-                    (q + l.total.queue_pushes, d + l.total.dedup_ops)
-                });
-            tel.record_update(&batch_observation(
-                &per_op,
-                self.st.n,
-                model_seconds,
-                wall_seconds,
-                queue_ops,
-                dedup_ops,
-                cache,
-            ));
-        }
+        // Queue/dedup volume and cache counters come from the profiler:
+        // attributed to this batch via the launches it added.
+        let gpu = &self.gpu;
+        let wall_seconds = self.rec.finish(rb, model_seconds, &per_op, self.st.n, || {
+            let mut v = Volume::default();
+            v.add_launches(&gpu.profile_report().launches[prof_launches_before..]);
+            v
+        });
 
         BatchResult {
             per_op,

@@ -14,10 +14,9 @@
 //! workloads are skewed (one device drawing the heavy Case 3 sources).
 
 use super::engine::{GpuDynamicBc, Parallelism};
-use super::exec::Backend;
 use crate::dynamic::result::{BatchResult, UpdateResult};
-use crate::obs::batch_observation;
-use dynbc_gpusim::{telemetry_from_env, CacheConfig, CacheCounters, DeviceConfig, ProfileReport};
+use crate::obs::{Recorder, Volume};
+use dynbc_gpusim::{telemetry_from_env, DeviceConfig, ProfileReport};
 use dynbc_graph::{DynGraph, EdgeList, EdgeOp, VertexId};
 use dynbc_telemetry::{Span, Telemetry};
 
@@ -25,67 +24,7 @@ use dynbc_telemetry::{Span, Telemetry};
 #[derive(Debug)]
 pub struct MultiGpuDynamicBc {
     devices: Vec<GpuDynamicBc>,
-    telemetry: Option<Box<Telemetry>>,
-}
-
-/// Generates the simulator-knob plumbing shared with the single-GPU
-/// engine: setters fan out to every device, counters sum over them. One
-/// macro call instead of a hand-written forwarding method per knob.
-macro_rules! forward_device_knobs {
-    (
-        $(set $setter:ident($ty:ty), #[doc = $sdoc:literal];)*
-        $(sum $getter:ident() -> $gty:ty, #[doc = $gdoc:literal];)*
-    ) => {
-        impl MultiGpuDynamicBc {
-            $(
-                #[doc = $sdoc]
-                pub fn $setter(&mut self, value: $ty) {
-                    for dev in &mut self.devices {
-                        dev.$setter(value);
-                    }
-                }
-            )*
-            $(
-                #[doc = $gdoc]
-                pub fn $getter(&self) -> $gty {
-                    self.devices.iter().map(GpuDynamicBc::$getter).sum()
-                }
-            )*
-        }
-    };
-}
-
-forward_device_knobs! {
-    set set_host_threads(usize),
-        #[doc = " Pins the host-thread count on every simulated device (results are \
-                  bit-identical for any value; see [`GpuDynamicBc::set_host_threads`])."];
-    set set_racecheck(bool),
-        #[doc = " Enables/disables checked (racecheck) execution on every device."];
-    set set_profiling(bool),
-        #[doc = " Enables/disables profiled execution on every device (see \
-                  [`GpuDynamicBc::set_profiling`])."];
-    set set_memsim(bool),
-        #[doc = " Enables/disables the memsim cache-hierarchy model on every \
-                  device (see [`GpuDynamicBc::set_memsim`]); each device \
-                  models its own L1s and shared L2."];
-    set set_cache_config(CacheConfig),
-        #[doc = " Overrides the modeled cache geometry on every device and \
-                  resets each device's persistent L2 state (see \
-                  [`GpuDynamicBc::set_cache_config`])."];
-    set set_backend(Backend),
-        #[doc = " Selects the execution backend on every device (see \
-                  [`GpuDynamicBc::set_backend`]); results are bit-identical \
-                  across backends."];
-    sum router_cpu_stages() -> u64,
-        #[doc = " Stages the hybrid router sent down the sequential CPU path, \
-                  summed over all devices."];
-    sum router_native_stages() -> u64,
-        #[doc = " Stages the hybrid router sent to the parallel native \
-                  backend, summed over all devices."];
-    sum racecheck_warnings() -> u64,
-        #[doc = " Warning-severity racecheck diagnostics summed over all devices."];
-    sum checked_launches() -> u64,
-        #[doc = " Launches that ran under the racechecker, summed over all devices."];
+    rec: Recorder,
 }
 
 impl MultiGpuDynamicBc {
@@ -111,24 +50,31 @@ impl MultiGpuDynamicBc {
                     .collect();
                 // Telemetry stays at the multi-engine level: per-device
                 // collectors would double-count every update (see
-                // `set_telemetry`).
+                // `with_telemetry`).
                 GpuDynamicBc::new(el, &mine, device, par).with_telemetry(false)
             })
             .collect();
         Self {
             devices,
-            telemetry: telemetry_from_env().then(|| Box::new(Telemetry::new())),
+            rec: Recorder::new(telemetry_from_env()),
         }
     }
 
-    /// Enables/disables engine-level telemetry (builder form). Overrides
-    /// `DYNBC_TELEMETRY`.
-    pub fn with_telemetry(mut self, on: bool) -> Self {
-        self.set_telemetry(on);
+    /// Configures every device engine with the same builder chain, e.g.
+    /// `.with_devices(|e| e.with_backend(Backend::Simulator).with_profiling(true))`.
+    /// Device-level telemetry is forced back off afterwards (see
+    /// [`with_telemetry`](Self::with_telemetry)).
+    pub fn with_devices(mut self, configure: impl Fn(GpuDynamicBc) -> GpuDynamicBc) -> Self {
+        self.devices = self
+            .devices
+            .into_iter()
+            .map(|d| configure(d).with_telemetry(false))
+            .collect();
         self
     }
 
-    /// Enables/disables engine-level telemetry.
+    /// Enables/disables engine-level telemetry; overrides
+    /// `DYNBC_TELEMETRY`.
     ///
     /// Deliberately *not* forwarded to the per-device engines: the batch
     /// is one logical update, so the multi engine records it once —
@@ -136,29 +82,32 @@ impl MultiGpuDynamicBc {
     /// gauges, and one `device[d]` span per device, merged in
     /// device-index order so everything model-clocked stays bit-identical
     /// for any `DYNBC_HOST_THREADS`.
-    pub fn set_telemetry(&mut self, on: bool) {
-        if on {
-            if self.telemetry.is_none() {
-                self.telemetry = Some(Box::new(Telemetry::new()));
-            }
-        } else {
-            self.telemetry = None;
-        }
+    pub fn with_telemetry(mut self, on: bool) -> Self {
+        self.rec.enable(on);
+        self
     }
 
     /// True when batches record telemetry.
     pub fn telemetry(&self) -> bool {
-        self.telemetry.is_some()
+        self.rec.on()
     }
 
     /// The telemetry accumulated by batches applied with telemetry on.
     pub fn telemetry_report(&self) -> Option<&Telemetry> {
-        self.telemetry.as_deref()
+        self.rec.report()
     }
 
     /// Drains the accumulated telemetry, leaving a fresh collector behind.
     pub fn take_telemetry_report(&mut self) -> Option<Telemetry> {
-        self.telemetry.as_mut().map(|t| std::mem::take(&mut **t))
+        self.rec.take()
+    }
+
+    /// Warning-severity racecheck diagnostics summed over all devices.
+    pub fn racecheck_warnings(&self) -> u64 {
+        self.devices
+            .iter()
+            .map(GpuDynamicBc::racecheck_warnings)
+            .sum()
     }
 
     /// Number of participating devices.
@@ -203,11 +152,9 @@ impl MultiGpuDynamicBc {
     /// Panics (before touching any device state) if any op is a self
     /// loop, a duplicate insertion, or a removal of an absent edge.
     pub fn apply_batch(&mut self, batch: &[EdgeOp]) -> BatchResult {
-        // dynbc-lint: allow(no-wall-clock) — wall_s is an observability-only telemetry field; no model result reads it
-        let wall_start = std::time::Instant::now();
-        let tel_on = self.telemetry.is_some();
         let clock_before = self.elapsed_seconds();
-        let prof_before: Vec<usize> = if tel_on {
+        let mut rb = self.rec.begin(clock_before);
+        let prof_before: Vec<usize> = if rb.on() {
             self.devices
                 .iter()
                 .map(|d| d.profile_report().launches.len())
@@ -221,7 +168,7 @@ impl MultiGpuDynamicBc {
         for dev in &mut self.devices {
             let r = dev.apply_batch(batch);
             makespan = makespan.max(r.model_seconds);
-            if tel_on {
+            if rb.on() {
                 dev_times.push((r.model_seconds, r.wall_seconds));
             }
             if per_op.is_empty() {
@@ -234,55 +181,38 @@ impl MultiGpuDynamicBc {
                 }
             }
         }
-        let wall_seconds = wall_start.elapsed().as_secs_f64();
-        if tel_on {
-            // Queue/dedup volume and cache counters: kernel-annotated
-            // profiler counters from the launches this batch added, summed
-            // in device-index order.
-            let mut cache = CacheCounters::default();
-            let (queue_ops, dedup_ops) =
-                self.devices
-                    .iter()
-                    .zip(&prof_before)
-                    .fold((0, 0), |(q, d), (dev, &before)| {
-                        dev.profile_report().launches[before..]
-                            .iter()
-                            .fold((q, d), |(q, d), l| {
-                                cache.merge(&l.total.cache);
-                                (q + l.total.queue_pushes, d + l.total.dedup_ops)
-                            })
-                    });
-            let n = self.devices[0].graph().vertex_count();
-            let tel = self.telemetry.as_deref_mut().expect("tel_on");
-            tel.push_span(
-                Span::new("update", 0, clock_before, makespan)
-                    .wall(wall_seconds)
-                    .arg("ops", batch.len() as f64)
-                    .arg("devices", dev_times.len() as f64),
+        rb.arg("devices", dev_times.len() as f64);
+        for (d, &(model_s, wall_s)) in dev_times.iter().enumerate() {
+            rb.push(
+                Span::new(format!("device[{d}]"), 1, clock_before, model_s)
+                    .wall(wall_s)
+                    .on_track(d as u32 + 1),
             );
-            for (d, &(model_s, wall_s)) in dev_times.iter().enumerate() {
-                tel.push_span(
-                    Span::new(format!("device[{d}]"), 1, clock_before, model_s)
-                        .wall(wall_s)
-                        .on_track(d as u32 + 1),
-                );
-                let util = if makespan > 0.0 {
-                    model_s / makespan
-                } else {
-                    0.0
-                };
+            let util = if makespan > 0.0 {
+                model_s / makespan
+            } else {
+                0.0
+            };
+            if let Some(tel) = self.rec.telemetry_mut() {
                 tel.set_device_utilization(d, util);
             }
-            tel.record_update(&batch_observation(
-                &per_op,
-                n,
-                makespan,
-                wall_seconds,
-                queue_ops,
-                dedup_ops,
-                cache,
-            ));
         }
+        // Queue/dedup volume and cache counters: the profiler counters of
+        // the launches this batch added, summed in device-index order.
+        let devices = &self.devices;
+        let wall_seconds = self.rec.finish(
+            rb,
+            makespan,
+            &per_op,
+            devices[0].graph().vertex_count(),
+            || {
+                let mut v = Volume::default();
+                for (dev, &before) in devices.iter().zip(&prof_before) {
+                    v.add_launches(&dev.profile_report().launches[before..]);
+                }
+                v
+            },
+        );
         BatchResult {
             per_op,
             model_seconds: makespan,
@@ -330,6 +260,7 @@ impl MultiGpuDynamicBc {
 mod tests {
     use super::*;
     use crate::brandes::{brandes_approx, sample_sources};
+    use crate::gpu::Backend;
     use dynbc_graph::gen;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -407,9 +338,9 @@ mod tests {
                 DeviceConfig::tesla_c2075(),
                 Parallelism::Node,
                 d,
-            );
+            )
             // Strong scaling is a model-clock claim: pin the simulator.
-            eng.set_backend(Backend::Simulator);
+            .with_devices(|e| e.with_backend(Backend::Simulator));
             let mut rng = StdRng::seed_from_u64(5);
             let mut total = 0.0;
             let mut done = 0;

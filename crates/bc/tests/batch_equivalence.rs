@@ -110,8 +110,7 @@ proptest! {
         let device = DeviceConfig::test_tiny();
         for par in [Parallelism::Node, Parallelism::Edge] {
             // Sequential reference at 1 host thread.
-            let mut seq = GpuDynamicBc::new(&el, &sources, device, par);
-            seq.set_host_threads(1);
+            let mut seq = GpuDynamicBc::new(&el, &sources, device, par).with_host_threads(1);
             let mut seq_cases = Vec::new();
             for &op in &ops {
                 let r = seq.apply_batch(&[op]);
@@ -121,8 +120,7 @@ proptest! {
 
             // Batched run at 1, 2, and 8 host threads.
             for threads in [1usize, 2, 8] {
-                let mut eng = GpuDynamicBc::new(&el, &sources, device, par);
-                eng.set_host_threads(threads);
+                let mut eng = GpuDynamicBc::new(&el, &sources, device, par).with_host_threads(threads);
                 let br = eng.apply_batch(&ops);
                 prop_assert_eq!(br.per_op.len(), ops.len());
                 for (i, op) in br.per_op.iter().enumerate() {
@@ -145,8 +143,8 @@ proptest! {
         if ops.is_empty() { return Ok(()); }
         let sources = sources_for(&el);
         let device = DeviceConfig::test_tiny();
-        let mut seq = MultiGpuDynamicBc::new(&el, &sources, device, Parallelism::Node, 2);
-        seq.set_host_threads(1);
+        let mut seq = MultiGpuDynamicBc::new(&el, &sources, device, Parallelism::Node, 2)
+            .with_devices(|e| e.with_host_threads(1));
         let mut seq_cases = Vec::new();
         for &op in &ops {
             seq_cases.push(seq.apply_batch(&[op]).per_op[0].cases);
@@ -154,8 +152,8 @@ proptest! {
         let seq_bits = bits(&seq.bc());
 
         for threads in [1usize, 2, 8] {
-            let mut eng = MultiGpuDynamicBc::new(&el, &sources, device, Parallelism::Node, 2);
-            eng.set_host_threads(threads);
+            let mut eng = MultiGpuDynamicBc::new(&el, &sources, device, Parallelism::Node, 2)
+                .with_devices(|e| e.with_host_threads(threads));
             let br = eng.apply_batch(&ops);
             for (i, op) in br.per_op.iter().enumerate() {
                 prop_assert_eq!(op.cases, seq_cases[i], "t{}: op {} case tallies", threads, i);

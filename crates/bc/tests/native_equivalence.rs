@@ -81,8 +81,8 @@ fn run_single(
     let mut eng = GpuDynamicBc::new(el, &sources_for(el), DeviceConfig::test_tiny(), {
         Parallelism::Node
     })
-    .with_backend(backend);
-    eng.set_host_threads(threads);
+    .with_backend(backend)
+    .with_host_threads(threads);
     let br = eng.apply_batch(ops);
     (bits(&eng.state_snapshot().bc), br.per_op)
 }
@@ -124,17 +124,15 @@ proptest! {
         if ops.is_empty() { return Ok(()); }
         let sources = sources_for(&el);
         let device = DeviceConfig::test_tiny();
-        let mut oracle = MultiGpuDynamicBc::new(&el, &sources, device, Parallelism::Node, 2);
-        oracle.set_backend(Backend::Simulator);
-        oracle.set_host_threads(1);
+        let mut oracle = MultiGpuDynamicBc::new(&el, &sources, device, Parallelism::Node, 2)
+            .with_devices(|e| e.with_backend(Backend::Simulator).with_host_threads(1));
         let oracle_br = oracle.apply_batch(&ops);
         let oracle_bits = bits(&oracle.bc());
 
         for backend in [Backend::Native, Backend::Hybrid] {
             for threads in [1usize, 2, 8] {
-                let mut eng = MultiGpuDynamicBc::new(&el, &sources, device, Parallelism::Node, 2);
-                eng.set_backend(backend);
-                eng.set_host_threads(threads);
+                let mut eng = MultiGpuDynamicBc::new(&el, &sources, device, Parallelism::Node, 2)
+                    .with_devices(|e| e.with_backend(backend).with_host_threads(threads));
                 let br = eng.apply_batch(&ops);
                 for (i, (got, want)) in br.per_op.iter().zip(&oracle_br.per_op).enumerate() {
                     prop_assert_eq!(

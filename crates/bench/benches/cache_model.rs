@@ -38,7 +38,7 @@
 
 use dynbc_bc::gpu::{Backend, Parallelism};
 use dynbc_bench::table::Table;
-use dynbc_bench::{build_setup, run_gpu_backend, run_gpu_memsim, Config, HarnessReport, Setup};
+use dynbc_bench::{build_setup, run_gpu, Config, DynRun, HarnessReport, Setup};
 use dynbc_gpusim::{CacheConfig, CacheCounters, DeviceConfig, ProfileReport};
 use dynbc_graph::suite::TABLE_I;
 use dynbc_graph::{EdgeList, VertexId};
@@ -97,6 +97,25 @@ fn relabel(setup: &Setup, new_id: &[VertexId]) -> Setup {
 }
 
 /// Hottest buffer by attributed L1 misses (deterministic tie-break).
+/// The stream on a simulator-pinned engine (the cache model only
+/// observes simulated lanes) with the profiler and the cache model on, at
+/// geometry `cache`: the run, its profile, and the final BC scores.
+fn run_memsim(
+    setup: &Setup,
+    device: DeviceConfig,
+    par: Parallelism,
+    cache: CacheConfig,
+) -> (DynRun, ProfileReport, Vec<f64>) {
+    let engine = setup
+        .gpu(device, par)
+        .with_backend(Backend::Simulator)
+        .with_profiling(true)
+        .with_memsim(true)
+        .with_cache_config(cache);
+    let (run, mut engine) = run_gpu(setup, engine);
+    (run, engine.take_profile_report(), engine.bc_scores())
+}
+
 fn hottest(report: &ProfileReport) -> (String, u64) {
     let mut hot = report.buffer_totals();
     hot.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
@@ -154,7 +173,7 @@ fn main() {
             .into_iter()
             .enumerate()
         {
-            let (run, profile, _) = run_gpu_memsim(&setup, device, par, Some(prefer_l1()));
+            let (run, profile, _) = run_memsim(&setup, device, par, prefer_l1());
             let c = profile.total().cache;
             l1[i] = c.l1_hit_rate();
             if par == Parallelism::Node {
@@ -183,9 +202,13 @@ fn main() {
             .into_iter()
             .enumerate()
         {
-            let (run, profile, bc) = run_gpu_memsim(s, device, Parallelism::Node, Some(small_l2()));
-            let (off, bc_off) =
-                run_gpu_backend(s, device, Parallelism::Node, Backend::Simulator, 0);
+            let (run, profile, bc) = run_memsim(s, device, Parallelism::Node, small_l2());
+            let (off, off_eng) = run_gpu(
+                s,
+                s.gpu(device, Parallelism::Node)
+                    .with_backend(Backend::Simulator),
+            );
+            let bc_off = off_eng.bc_scores();
             assert_eq!(
                 bc.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
                 bc_off.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),

@@ -19,7 +19,7 @@
 
 use dynbc_bc::gpu::Parallelism;
 use dynbc_bench::table::Table;
-use dynbc_bench::{build_setup, run_gpu_profiled, Config, HarnessReport};
+use dynbc_bench::{build_setup, run_gpu, Config, HarnessReport};
 use dynbc_gpusim::{Counters, DeviceConfig, ProfileReport};
 use dynbc_graph::suite::TABLE_I;
 
@@ -64,7 +64,8 @@ fn main() {
         );
         let mut totals: Vec<Counters> = Vec::with_capacity(2);
         for par in [Parallelism::Edge, Parallelism::Node] {
-            let (run, profile) = run_gpu_profiled(&setup, device, par);
+            let (run, mut engine) = run_gpu(&setup, setup.gpu(device, par).with_profiling(true));
+            let profile = engine.take_profile_report();
             let c = profile.total();
             fig.push_row(
                 entry.short,

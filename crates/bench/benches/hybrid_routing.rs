@@ -11,9 +11,9 @@
 //! paths are exercised, results stay bit-identical, and the hybrid run
 //! beats *both* pure backends on wall clock.
 
-use dynbc_bc::gpu::{Backend, GpuDynamicBc, Parallelism};
+use dynbc_bc::gpu::{Backend, Parallelism};
 use dynbc_bench::table::{fmt_seconds, fmt_speedup, Table};
-use dynbc_bench::{build_setup, emit_bench_json, run_gpu_backend, Config, DynRun};
+use dynbc_bench::{build_setup, emit_bench_json, run_gpu, Config, DynRun};
 use dynbc_gpusim::DeviceConfig;
 use dynbc_graph::suite::entry_by_short;
 
@@ -34,14 +34,15 @@ fn main() {
         device.name
     );
 
-    let (sim, sim_bc) = run_gpu_backend(&setup, device, Parallelism::Node, Backend::Simulator, 0);
-    let (native, _) = run_gpu_backend(&setup, device, Parallelism::Node, Backend::Native, 0);
-    let (hybrid, hybrid_bc) =
-        run_gpu_backend(&setup, device, Parallelism::Node, Backend::Hybrid, 0);
+    let on = |backend| setup.gpu(device, Parallelism::Node).with_backend(backend);
+    let (sim, sim_eng) = run_gpu(&setup, on(Backend::Simulator));
+    let (native, _) = run_gpu(&setup, on(Backend::Native));
+    let (hybrid, hybrid_eng) = run_gpu(&setup, on(Backend::Hybrid));
     assert!(
-        sim_bc
+        sim_eng
+            .bc_scores()
             .iter()
-            .zip(&hybrid_bc)
+            .zip(&hybrid_eng.bc_scores())
             .all(|(a, b)| a.to_bits() == b.to_bits()),
         "routing must be invisible in the results"
     );
@@ -51,8 +52,7 @@ fn main() {
     // took. Case 2 updates (adjacent work, no relocation) are the
     // paper's common case — the router should keep their median on the
     // sequential CPU path once the estimator has seen a few.
-    let mut router = GpuDynamicBc::new(&setup.start, &setup.sources, device, Parallelism::Node)
-        .with_backend(Backend::Hybrid);
+    let mut router = on(Backend::Hybrid);
     let mut case2_total = 0u64;
     let mut case2_cpu = 0u64;
     for &(u, v) in &setup.insertions {

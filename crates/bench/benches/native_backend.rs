@@ -11,7 +11,7 @@
 
 use dynbc_bc::gpu::{Backend, Parallelism};
 use dynbc_bench::table::{fmt_seconds, fmt_speedup, Table};
-use dynbc_bench::{build_setup, emit_bench_json, run_gpu_backend, Config, DynRun};
+use dynbc_bench::{build_setup, emit_bench_json, run_gpu, Config, DynRun};
 use dynbc_gpusim::DeviceConfig;
 use dynbc_graph::suite::TABLE_I;
 
@@ -49,10 +49,10 @@ fn main() {
             setup.n(),
             setup.m()
         );
-        let (sim, sim_bc) =
-            run_gpu_backend(&setup, device, Parallelism::Node, Backend::Simulator, 0);
-        let (native, native_bc) =
-            run_gpu_backend(&setup, device, Parallelism::Node, Backend::Native, 0);
+        let on = |backend| setup.gpu(device, Parallelism::Node).with_backend(backend);
+        let (sim, sim_eng) = run_gpu(&setup, on(Backend::Simulator));
+        let (native, native_eng) = run_gpu(&setup, on(Backend::Native));
+        let (sim_bc, native_bc) = (sim_eng.bc_scores(), native_eng.bc_scores());
 
         let bits_ok = sim_bc
             .iter()

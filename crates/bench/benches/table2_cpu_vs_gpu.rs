@@ -10,9 +10,7 @@
 
 use dynbc_bc::gpu::{Backend, Parallelism};
 use dynbc_bench::table::{fmt_seconds, fmt_speedup, Table};
-use dynbc_bench::{
-    build_setup, emit_bench_json, paper, run_cpu, run_gpu, run_gpu_backend, Config, DynRun,
-};
+use dynbc_bench::{build_setup, emit_bench_json, paper, run_cpu, run_gpu, Config, DynRun};
 use dynbc_gpusim::DeviceConfig;
 use dynbc_graph::suite::TABLE_I;
 
@@ -54,8 +52,8 @@ fn main() {
             setup.m()
         );
         let cpu = run_cpu(&setup);
-        let edge = run_gpu(&setup, device, Parallelism::Edge);
-        let node = run_gpu(&setup, device, Parallelism::Node);
+        let (edge, _) = run_gpu(&setup, setup.gpu(device, Parallelism::Edge));
+        let (node, _) = run_gpu(&setup, setup.gpu(device, Parallelism::Node));
         let edge_speedup = cpu.total_model_seconds / edge.total_model_seconds;
         let node_speedup = cpu.total_model_seconds / node.total_model_seconds;
         node_beats_edge_everywhere &= node.total_model_seconds < edge.total_model_seconds;
@@ -79,8 +77,9 @@ fn main() {
         // Serving-speed rows: the same node-parallel stream on the
         // native and hybrid backends (identical results, no model
         // clock — wall time is the number that matters there).
-        let (native, _) = run_gpu_backend(&setup, device, Parallelism::Node, Backend::Native, 0);
-        let (hybrid, _) = run_gpu_backend(&setup, device, Parallelism::Node, Backend::Hybrid, 0);
+        let on = |backend| setup.gpu(device, Parallelism::Node).with_backend(backend);
+        let (native, _) = run_gpu(&setup, on(Backend::Native));
+        let (hybrid, _) = run_gpu(&setup, on(Backend::Hybrid));
         wall_table.row(vec![
             entry.short.to_string(),
             fmt_seconds(node.total_wall_seconds),

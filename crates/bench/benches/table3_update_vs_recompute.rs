@@ -54,7 +54,7 @@ fn main() {
             Parallelism::Node,
             device.num_sms,
         );
-        let dynamic = run_gpu(&setup, device, Parallelism::Node);
+        let (dynamic, _) = run_gpu(&setup, setup.gpu(device, Parallelism::Node));
         let (slow, avg, fast) = (dynamic.slowest(), dynamic.average(), dynamic.fastest());
         worst_case_always_wins &= slow < recompute.seconds;
         avg_speedups.push(recompute.seconds / avg);

@@ -15,7 +15,7 @@ use crate::config::Config;
 use dynbc_bc::brandes::{brandes_state, sample_sources};
 use dynbc_bc::dynamic::{CpuDynamicBc, UpdateResult};
 use dynbc_bc::gpu::{Backend, GpuDynamicBc, Parallelism};
-use dynbc_gpusim::{CacheConfig, DeviceConfig, ProfileReport};
+use dynbc_gpusim::DeviceConfig;
 use dynbc_graph::suite::SuiteEntry;
 use dynbc_graph::{Csr, EdgeList, VertexId};
 use rand::rngs::StdRng;
@@ -37,6 +37,11 @@ pub struct Setup {
 }
 
 impl Setup {
+    /// A GPU engine on the start graph and sources, ready for builders.
+    pub fn gpu(&self, device: DeviceConfig, par: Parallelism) -> GpuDynamicBc {
+        GpuDynamicBc::new(&self.start, &self.sources, device, par)
+    }
+
     /// Vertex count.
     pub fn n(&self) -> usize {
         self.start.vertex_count()
@@ -172,116 +177,25 @@ pub fn emit_bench_json(harness: &str, runs: &[(&str, &DynRun)]) -> Option<std::p
     report.write_default()
 }
 
-/// Runs the insertion stream through a simulated-GPU engine.
-pub fn run_gpu(setup: &Setup, device: DeviceConfig, par: Parallelism) -> DynRun {
-    let mut engine = GpuDynamicBc::new(&setup.start, &setup.sources, device, par);
+/// Runs the insertion stream through `engine`, configured by the
+/// caller's builders (backend, profiling, memsim, ...), verifies the
+/// final BC against Brandes, and hands the engine back so the caller can
+/// read its scores (`bc_scores`, for bitwise comparisons the tolerance
+/// check cannot express) or its profile report.
+pub fn run_gpu(setup: &Setup, mut engine: GpuDynamicBc) -> (DynRun, GpuDynamicBc) {
     let results: Vec<UpdateResult> = setup
         .insertions
         .iter()
         .map(|&(u, v)| engine.insert_edge(u, v))
         .collect();
-    let snapshot = engine.state_snapshot();
-    verify_final_state(setup, &snapshot.bc, &format!("gpu-{par}"));
-    DynRun::from_results(format!("GPU {par} ({})", device.name), results)
-}
-
-/// Runs the insertion stream through a GPU engine pinned to one
-/// execution backend (`DYNBC_BACKEND` notwithstanding), returning the
-/// run and the final BC scores — backend benches compare those scores
-/// *bitwise*, which the tolerance check in [`run_gpu`] cannot express.
-///
-/// `threads = 0` keeps the engine's default host-thread count.
-pub fn run_gpu_backend(
-    setup: &Setup,
-    device: DeviceConfig,
-    par: Parallelism,
-    backend: Backend,
-    threads: usize,
-) -> (DynRun, Vec<f64>) {
-    let mut engine =
-        GpuDynamicBc::new(&setup.start, &setup.sources, device, par).with_backend(backend);
-    if threads > 0 {
-        engine.set_host_threads(threads);
-    }
-    let results: Vec<UpdateResult> = setup
-        .insertions
-        .iter()
-        .map(|&(u, v)| engine.insert_edge(u, v))
-        .collect();
-    let snapshot = engine.state_snapshot();
-    verify_final_state(setup, &snapshot.bc, &format!("gpu-{par}-{backend}"));
-    (
-        DynRun::from_results(format!("GPU {par} {backend} ({})", device.name), results),
-        snapshot.bc,
-    )
-}
-
-/// Runs the insertion stream through a simulated-GPU engine with the
-/// hardware-counter profiler enabled, returning both the timing run and
-/// the accumulated per-kernel [`ProfileReport`].
-///
-/// Profiling never changes results or modeled time — only what the host
-/// records — so the run is verified against Brandes exactly like
-/// [`run_gpu`].
-pub fn run_gpu_profiled(
-    setup: &Setup,
-    device: DeviceConfig,
-    par: Parallelism,
-) -> (DynRun, ProfileReport) {
-    let mut engine = GpuDynamicBc::new(&setup.start, &setup.sources, device, par);
-    engine.set_profiling(true);
-    let results: Vec<UpdateResult> = setup
-        .insertions
-        .iter()
-        .map(|&(u, v)| engine.insert_edge(u, v))
-        .collect();
-    let snapshot = engine.state_snapshot();
-    verify_final_state(setup, &snapshot.bc, &format!("gpu-{par}-profiled"));
-    let profile = engine.take_profile_report();
-    (
-        DynRun::from_results(format!("GPU {par} ({})", device.name), results),
-        profile,
-    )
-}
-
-/// Runs the insertion stream through a simulated-GPU engine with the
-/// profiler *and* the dynbc-memsim cache-hierarchy model enabled,
-/// returning the timing run, the [`ProfileReport`] (whose counters carry
-/// L1/L2 hit/miss/eviction totals and per-buffer miss attribution), and
-/// the final BC scores — locality benches compare those scores *bitwise*
-/// against memsim-off runs, which the tolerance check cannot express.
-///
-/// `cache` overrides the modeled geometry (e.g. a deliberately small L2
-/// so a reordering experiment's working set exceeds it); `None` keeps
-/// the default C2075-flavoured hierarchy. The simulator backend is
-/// pinned (`DYNBC_BACKEND` notwithstanding): the cache model only
-/// observes simulated lanes, so a native run would report nothing.
-pub fn run_gpu_memsim(
-    setup: &Setup,
-    device: DeviceConfig,
-    par: Parallelism,
-    cache: Option<CacheConfig>,
-) -> (DynRun, ProfileReport, Vec<f64>) {
-    let mut engine = GpuDynamicBc::new(&setup.start, &setup.sources, device, par)
-        .with_backend(Backend::Simulator);
-    engine.set_profiling(true);
-    engine.set_memsim(true);
-    if let Some(cfg) = cache {
-        engine.set_cache_config(cfg);
-    }
-    let results: Vec<UpdateResult> = setup
-        .insertions
-        .iter()
-        .map(|&(u, v)| engine.insert_edge(u, v))
-        .collect();
-    let snapshot = engine.state_snapshot();
-    verify_final_state(setup, &snapshot.bc, &format!("gpu-{par}-memsim"));
-    let profile = engine.take_profile_report();
-    (
-        DynRun::from_results(format!("GPU {par} ({})", device.name), results),
-        profile,
-        snapshot.bc,
-    )
+    let par = engine.parallelism();
+    let backend = match engine.backend() {
+        Backend::Simulator => String::new(),
+        b => format!(" {b}"),
+    };
+    let label = format!("GPU {par}{backend} ({})", engine.device().name);
+    verify_final_state(setup, &engine.bc_scores(), &label);
+    (DynRun::from_results(label, results), engine)
 }
 
 #[cfg(test)]
@@ -327,7 +241,10 @@ mod tests {
         let cfg = tiny_cfg();
         let setup = build_setup(entry, &cfg);
         let cpu = run_cpu(&setup);
-        let gpu = run_gpu(&setup, DeviceConfig::test_tiny(), Parallelism::Node);
+        let (gpu, _) = run_gpu(
+            &setup,
+            setup.gpu(DeviceConfig::test_tiny(), Parallelism::Node),
+        );
         assert_eq!(cpu.per_insertion.len(), gpu.per_insertion.len());
         for (rc, rg) in cpu.per_insertion.iter().zip(&gpu.per_insertion) {
             assert_eq!(rc.cases, rg.cases);
@@ -342,9 +259,13 @@ mod tests {
         let entry = entry_by_short("small").unwrap();
         let cfg = tiny_cfg();
         let setup = build_setup(entry, &cfg);
-        let plain = run_gpu(&setup, DeviceConfig::test_tiny(), Parallelism::Edge);
-        let (profiled, profile) =
-            run_gpu_profiled(&setup, DeviceConfig::test_tiny(), Parallelism::Edge);
+        let device = DeviceConfig::test_tiny();
+        let (plain, _) = run_gpu(&setup, setup.gpu(device, Parallelism::Edge));
+        let (profiled, mut engine) = run_gpu(
+            &setup,
+            setup.gpu(device, Parallelism::Edge).with_profiling(true),
+        );
+        let profile = engine.take_profile_report();
         assert_eq!(
             plain.total_model_seconds.to_bits(),
             profiled.total_model_seconds.to_bits(),

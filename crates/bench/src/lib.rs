@@ -30,8 +30,5 @@ pub mod stream;
 pub mod table;
 
 pub use config::Config;
-pub use driver::{
-    build_setup, emit_bench_json, run_cpu, run_gpu, run_gpu_backend, run_gpu_memsim,
-    run_gpu_profiled, DynRun, Setup,
-};
+pub use driver::{build_setup, emit_bench_json, run_cpu, run_gpu, DynRun, Setup};
 pub use report::HarnessReport;

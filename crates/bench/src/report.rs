@@ -12,6 +12,7 @@
 //! that treats each harness's value as an opaque balanced-brace span —
 //! enough to merge files this module itself wrote.
 
+use dynbc_prof::json;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -49,13 +50,13 @@ impl Row {
         let _ = write!(
             out,
             "\"name\": {}, \"engine\": {}, \"model_seconds\": {}, \"wall_seconds\": {}",
-            json_string(&self.name),
-            json_string(&self.engine),
-            json_number(self.model_seconds),
-            json_number(self.wall_seconds)
+            json::string(&self.name),
+            json::string(&self.engine),
+            json::number(self.model_seconds),
+            json::number(self.wall_seconds)
         );
         for (k, v) in &self.extra {
-            let _ = write!(out, ", {}: {}", json_string(k), json_number(*v));
+            let _ = write!(out, ", {}: {}", json::string(k), json::number(*v));
         }
         out.push('}');
         out
@@ -127,7 +128,7 @@ impl HarnessReport {
             out,
             "\"host_threads\": {}, \"git_rev\": {}, \"rows\": [",
             self.host_threads,
-            json_string(&self.git_rev)
+            json::string(&self.git_rev)
         );
         for (i, row) in self.rows.iter().enumerate() {
             if i > 0 {
@@ -153,7 +154,7 @@ impl HarnessReport {
         );
         let mut out = String::from("{\n");
         for (i, (k, v)) in entries.iter().enumerate() {
-            let _ = write!(out, "  {}: {}", json_string(k), v);
+            let _ = write!(out, "  {}: {}", json::string(k), v);
             out.push_str(if i + 1 < entries.len() { ",\n" } else { "\n" });
         }
         out.push_str("}\n");
@@ -210,35 +211,6 @@ pub fn git_rev() -> Option<String> {
         None
     } else {
         Some(head.to_string())
-    }
-}
-
-/// JSON string literal with the escapes the names here can contain.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Finite JSON number (JSON has no NaN/Inf; clamp to null).
-fn json_number(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
     }
 }
 
@@ -401,12 +373,5 @@ mod tests {
         let rev = git_rev().expect("repo has .git");
         assert!(rev.len() >= 7, "{rev}");
         assert!(rev.chars().all(|c| c.is_ascii_hexdigit()), "{rev}");
-    }
-
-    #[test]
-    fn strings_escape_and_numbers_stay_finite() {
-        assert_eq!(json_string("a\"b\\c\n"), "\"a\\\"b\\\\c\\n\"");
-        assert_eq!(json_number(1.25), "1.25");
-        assert_eq!(json_number(f64::NAN), "null");
     }
 }

@@ -250,7 +250,6 @@ fn profile_report_is_bit_identical_across_host_threads() {
             "ProfileReport must not depend on host-thread count ({threads} threads)"
         );
     }
-    // And the serialized sinks are therefore byte-identical too.
+    // And the serialized report is therefore byte-identical too.
     assert_eq!(baseline.to_json(), run_at(8).to_json());
-    assert_eq!(baseline.chrome_trace_json(), run_at(8).chrome_trace_json());
 }

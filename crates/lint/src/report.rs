@@ -101,7 +101,9 @@ impl Report {
     }
 }
 
-/// Minimal JSON string escaping (the same subset `dynbc-prof` emits).
+/// Minimal JSON string escaping. A copy of `dynbc_prof::json::string`
+/// plus `\r`, kept here because the lint stays dependency-free and the
+/// `tests/lint.rs` JSON snapshot pins its escaping.
 fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');

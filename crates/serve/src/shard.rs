@@ -62,10 +62,10 @@ impl ShardEngine {
         }
     }
 
-    fn set_telemetry(&mut self, on: bool) {
+    fn with_telemetry(self, on: bool) -> Self {
         match self {
-            ShardEngine::Cpu(e) => e.set_telemetry(on),
-            ShardEngine::Gpu(e) => e.set_telemetry(on),
+            ShardEngine::Cpu(e) => Self::cpu(e.with_telemetry(on)),
+            ShardEngine::Gpu(e) => Self::gpu(e.with_telemetry(on)),
         }
     }
 
@@ -194,7 +194,7 @@ impl Shard {
     pub fn spawn(mut engine: ShardEngine, cfg: &ServeConfig) -> Self {
         let (tx, rx) = mpsc::sync_channel(cfg.queue_cap);
         if cfg.telemetry {
-            engine.set_telemetry(true);
+            engine = engine.with_telemetry(true);
         }
         let (publisher, snapshots) = chain(Snapshot::new(0, 0, engine.scores().into()));
         let metrics = Arc::new(Metrics {

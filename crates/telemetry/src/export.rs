@@ -1,40 +1,11 @@
-//! Exporters: unified Chrome/Perfetto trace (host pipeline spans + device
-//! kernel profiles on one timeline) and small hand-rolled JSON helpers.
+//! The unified Chrome/Perfetto trace: host pipeline spans and device
+//! kernel profiles on one timeline.
 
 use std::fmt::Write as _;
 
-use dynbc_prof::ProfileReport;
+use dynbc_prof::{json, ProfileReport};
 
 use crate::trace::Trace;
-
-/// JSON string literal with the escapes phase names can contain.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Finite JSON number (JSON has no NaN/Inf; clamp to null).
-pub(crate) fn json_number(x: f64) -> String {
-    if x.is_finite() {
-        format!("{x}")
-    } else {
-        "null".to_string()
-    }
-}
 
 /// Render the host-pipeline trace and any number of device kernel profiles
 /// as one Chrome trace-event JSON document.
@@ -46,10 +17,13 @@ pub(crate) fn json_number(x: f64) -> String {
 ///   On-clock spans are complete (`"X"`) events; off-clock phases are
 ///   instant (`"i"`) events with their wall cost in `args`.
 /// * pid 1+d — one process per entry of `devices`, named by its label:
-///   kernel launches on tid 0, per-SM block spans on tid 1+sm.
+///   kernel launches on tid 0 (with their scanned/passed edge counts),
+///   per-SM block spans on tid 1+sm, and counter tracks for cumulative
+///   futile vs useful edge work and, when memsim recorded traffic, the
+///   L1/L2 hit rates.
 ///
-/// All timestamps are the simulated clock in microseconds, the same clock
-/// [`dynbc_prof::ProfileReport::chrome_trace_json`] uses, so host stages
+/// All timestamps are the simulated clock in microseconds — the clock
+/// both spans and [`dynbc_prof::LaunchProfile`]s run on — so host stages
 /// and kernel spans line up.
 pub fn unified_chrome_trace(trace: &Trace, devices: &[(String, &ProfileReport)]) -> String {
     let mut out = String::from("{\"traceEvents\": [\n");
@@ -70,38 +44,39 @@ pub fn unified_chrome_trace(trace: &Trace, devices: &[(String, &ProfileReport)])
             out,
             "{{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": {}, \"args\": {{\"name\": {}}}}}",
             1 + d,
-            json_string(label),
+            json::string(label),
         );
     }
     for s in trace.spans() {
         sep(&mut out);
-        let mut args = format!("\"wall_ms\": {}", json_number(s.wall_s * 1e3));
+        let mut args = format!("\"wall_ms\": {}", json::number(s.wall_s * 1e3));
         for (k, v) in &s.args {
-            let _ = write!(args, ", {}: {}", json_string(k), json_number(*v));
+            let _ = write!(args, ", {}: {}", json::string(k), json::number(*v));
         }
         if s.dur_s > 0.0 {
             let _ = write!(
                 out,
                 "{{\"name\": {}, \"cat\": \"pipeline\", \"ph\": \"X\", \"pid\": 0, \
                  \"tid\": {}, \"ts\": {}, \"dur\": {}, \"args\": {{{args}}}}}",
-                json_string(&s.name),
+                json::string(&s.name),
                 s.track,
-                json_number(s.start_s * 1e6),
-                json_number(s.dur_s * 1e6),
+                json::number(s.start_s * 1e6),
+                json::number(s.dur_s * 1e6),
             );
         } else {
             let _ = write!(
                 out,
                 "{{\"name\": {}, \"cat\": \"pipeline\", \"ph\": \"i\", \"s\": \"t\", \
                  \"pid\": 0, \"tid\": {}, \"ts\": {}, \"args\": {{{args}}}}}",
-                json_string(&s.name),
+                json::string(&s.name),
                 s.track,
-                json_number(s.start_s * 1e6),
+                json::number(s.start_s * 1e6),
             );
         }
     }
     for (d, (_, report)) in devices.iter().enumerate() {
         let pid = 1 + d;
+        let (mut futile, mut useful) = (0u64, 0u64);
         for l in &report.launches {
             sep(&mut out);
             // Memsim hit rates ride along only when the launch carried
@@ -111,22 +86,40 @@ pub fn unified_chrome_trace(trace: &Trace, devices: &[(String, &ProfileReport)])
             } else {
                 format!(
                     ", \"l1_hit_rate\": {}, \"l2_hit_rate\": {}",
-                    json_number(l.total.cache.l1_hit_rate()),
-                    json_number(l.total.cache.l2_hit_rate()),
+                    json::number(l.total.cache.l1_hit_rate()),
+                    json::number(l.total.cache.l2_hit_rate()),
                 )
             };
             let _ = write!(
                 out,
                 "{{\"name\": {}, \"cat\": \"launch\", \"ph\": \"X\", \"pid\": {pid}, \
                  \"tid\": 0, \"ts\": {}, \"dur\": {}, \"args\": {{\"index\": {}, \
-                 \"num_blocks\": {}, \"occupancy\": {}{cache}}}}}",
-                json_string(&l.kernel),
-                json_number(l.start_s * 1e6),
-                json_number(l.seconds * 1e6),
+                 \"num_blocks\": {}, \"edges_scanned\": {}, \"edges_passed\": {}, \
+                 \"occupancy\": {}{cache}}}}}",
+                json::string(&l.kernel),
+                json::number(l.start_s * 1e6),
+                json::number(l.seconds * 1e6),
                 l.index,
                 l.num_blocks,
-                json_number(l.total.occupancy()),
+                l.total.edges_scanned,
+                l.total.edges_passed,
+                json::number(l.total.occupancy()),
             );
+            // Cumulative futile vs useful edge work (the paper's
+            // edge-parallel waste), sampled at the end of every launch
+            // that scanned edges.
+            if l.total.edges_scanned > 0 {
+                useful += l.total.edges_passed;
+                futile += l.total.edges_scanned - l.total.edges_passed.min(l.total.edges_scanned);
+                sep(&mut out);
+                let _ = write!(
+                    out,
+                    "{{\"name\": \"edge work\", \"cat\": \"profile\", \"ph\": \"C\", \
+                     \"pid\": {pid}, \"tid\": 0, \"ts\": {}, \"args\": {{\"futile\": {futile}, \
+                     \"useful\": {useful}}}}}",
+                    json::number((l.start_s + l.seconds) * 1e6),
+                );
+            }
             if !l.total.cache.is_empty() {
                 sep(&mut out);
                 let _ = write!(
@@ -134,9 +127,9 @@ pub fn unified_chrome_trace(trace: &Trace, devices: &[(String, &ProfileReport)])
                     "{{\"name\": \"L1/L2 hit rate\", \"cat\": \"memsim\", \"ph\": \"C\", \
                      \"pid\": {pid}, \"tid\": 0, \"ts\": {}, \"args\": {{\"l1\": {}, \
                      \"l2\": {}}}}}",
-                    json_number(l.start_s * 1e6),
-                    json_number(l.total.cache.l1_hit_rate()),
-                    json_number(l.total.cache.l2_hit_rate()),
+                    json::number(l.start_s * 1e6),
+                    json::number(l.total.cache.l1_hit_rate()),
+                    json::number(l.total.cache.l2_hit_rate()),
                 );
             }
             for b in &l.blocks {
@@ -145,10 +138,10 @@ pub fn unified_chrome_trace(trace: &Trace, devices: &[(String, &ProfileReport)])
                     out,
                     "{{\"name\": {}, \"cat\": \"block\", \"ph\": \"X\", \"pid\": {pid}, \
                      \"tid\": {}, \"ts\": {}, \"dur\": {}, \"args\": {{\"block\": {}}}}}",
-                    json_string(&format!("{}#b{}", l.kernel, b.block)),
+                    json::string(&format!("{}#b{}", l.kernel, b.block)),
                     1 + b.sm,
-                    json_number(b.start_s * 1e6),
-                    json_number(b.dur_s * 1e6),
+                    json::number(b.start_s * 1e6),
+                    json::number(b.dur_s * 1e6),
                     b.block,
                 );
             }
@@ -212,10 +205,35 @@ mod tests {
     }
 
     #[test]
+    fn launches_carry_edge_counts_and_an_edge_work_track() {
+        let mut r = report(CacheCounters::default());
+        r.launches[0].total.edges_scanned = 10;
+        r.launches[0].total.edges_passed = 4;
+        let mut second = r.launches[0].clone();
+        second.index = 1;
+        second.start_s = 2e-6;
+        r.launches.push(second);
+        let json = unified_chrome_trace(&Trace::new(), &[("gpu0".to_string(), &r)]);
+        assert!(
+            json.contains("\"edges_scanned\": 10, \"edges_passed\": 4"),
+            "{json}"
+        );
+        // Cumulative: the second sample carries both launches' work.
+        assert!(
+            json.contains("\"args\": {\"futile\": 6, \"useful\": 4}"),
+            "{json}"
+        );
+        assert!(
+            json.contains("\"args\": {\"futile\": 12, \"useful\": 8}"),
+            "{json}"
+        );
+    }
+
+    #[test]
     fn unified_trace_has_process_tracks_and_both_event_kinds() {
         let mut t = Trace::new();
-        t.push(Span::new("update", 0, 0.0, 1.0).wall(0.5));
-        t.push(Span::instant("validate", 1, 0.0, 0.001));
+        t.push(Span::new("stage#0", 1, 0.0, 1.0).wall(0.5));
+        t.push(Span::instant("plan", 2, 0.0, 0.001));
         let json = unified_chrome_trace(&t, &[]);
         assert!(json.contains("\"host pipeline\""), "{json}");
         assert!(json.contains("\"ph\": \"X\""), "{json}");

@@ -27,8 +27,9 @@
 //! `Wall` families measure real host time and vary run to run.
 //!
 //! Collection is gated by the engines behind `DYNBC_TELEMETRY=1` /
-//! `set_telemetry(...)` following the racecheck/profiling template: a
-//! single predictable branch per update when off, no allocation.
+//! `with_telemetry(true)`, fixed at construction, following the
+//! racecheck/profiling template: a single predictable branch per update
+//! when off, no allocation.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,6 +39,7 @@ mod hist;
 mod registry;
 mod trace;
 
+use dynbc_prof::json;
 use std::fmt::Write as _;
 
 pub use dynbc_prof::{CacheCounters, ProfileReport};
@@ -247,19 +249,19 @@ impl Telemetry {
              \"case_distant\": {}, \"max_touched_fraction\": {}",
             self.updates,
             obs.ops,
-            export::json_number(obs.model_seconds),
-            export::json_number(obs.wall_seconds),
+            json::number(obs.model_seconds),
+            json::number(obs.wall_seconds),
             obs.case_same,
             obs.case_adjacent,
             obs.case_distant,
-            export::json_number(max_touched),
+            json::number(max_touched),
         );
         if !obs.cache.is_empty() {
             let _ = write!(
                 rec,
                 ", \"l1_hit_rate\": {}, \"l2_hit_rate\": {}",
-                export::json_number(obs.cache.l1_hit_rate()),
-                export::json_number(obs.cache.l2_hit_rate()),
+                json::number(obs.cache.l1_hit_rate()),
+                json::number(obs.cache.l2_hit_rate()),
             );
         }
         rec.push('}');

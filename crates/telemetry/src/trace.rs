@@ -204,7 +204,7 @@ mod tests {
         assert_eq!(s.track, 3);
         assert_eq!(s.dur_s, 0.5);
         assert_eq!(s.args, vec![("ops", 4.0)]);
-        let i = Span::instant("validate", 1, 2.0, 0.001);
+        let i = Span::instant("plan", 2, 2.0, 0.001);
         assert_eq!(i.dur_s, 0.0);
         assert_eq!(i.wall_s, 0.001);
     }

@@ -5,15 +5,14 @@
 //! cache-hierarchy model enabled, prints the nvprof style per-kernel
 //! summary plus modeled L1/L2 hit rates, and writes these artifacts:
 //!
-//! * `profile_trace.json` — Chrome trace-event file; open it at
-//!   <https://ui.perfetto.dev> (or `chrome://tracing`) to see every
-//!   kernel launch and per-SM block placement on the simulated timeline;
+//! * `unified_trace.json` — the Chrome trace-event file; open it at
+//!   <https://ui.perfetto.dev> (or `chrome://tracing`). One process holds
+//!   the host update pipeline (`update → validate → plan → stage → launch
+//!   → commit` spans), one per device every kernel launch (with its edge
+//!   counts), per-SM block placement, and the futile/useful edge-work and
+//!   L1/L2 hit-rate counter tracks, all on the simulated timeline;
 //! * `profile_report.json` — the full structured `ProfileReport`
 //!   (per-launch, per-stage counters) for scripted analysis;
-//! * `unified_trace.json` — the merged telemetry + profiler Perfetto
-//!   trace: one process for the host update pipeline
-//!   (`update → validate → plan → stage → launch → commit` spans) and one
-//!   per device (kernel launches and per-SM block placement);
 //! * `metrics.prom` — Prometheus text exposition of the update-lifecycle
 //!   metrics registry;
 //! * `events.jsonl` — the JSON Lines per-update event log.
@@ -41,10 +40,10 @@ fn main() {
     let graph = dynbc::graph::gen::ba(&mut rng, n, 4);
     let sources = sample_sources(&mut rng, n, 24);
     let device = DeviceConfig::tesla_c2075();
-    let mut engine = GpuDynamicBc::new(&graph, &sources, device, Parallelism::Node);
-    engine.set_profiling(true);
-    engine.set_memsim(true);
-    engine.set_telemetry(true);
+    let mut engine = GpuDynamicBc::new(&graph, &sources, device, Parallelism::Node)
+        .with_profiling(true)
+        .with_memsim(true)
+        .with_telemetry(true);
 
     println!(
         "profiling {} mixed edge ops on n={n} m={} (k={}, {}; node-parallel)\n",
@@ -131,12 +130,10 @@ fn main() {
         latency.p99()
     );
 
-    let trace_path = out_dir.join("profile_trace.json");
     let report_path = out_dir.join("profile_report.json");
     let unified_path = out_dir.join("unified_trace.json");
     let metrics_path = out_dir.join("metrics.prom");
     let events_path = out_dir.join("events.jsonl");
-    std::fs::write(&trace_path, report.chrome_trace_json()).expect("write trace");
     std::fs::write(&report_path, report.to_json()).expect("write report");
     std::fs::write(
         &unified_path,
@@ -146,14 +143,11 @@ fn main() {
     std::fs::write(&metrics_path, telemetry.prometheus()).expect("write metrics");
     std::fs::write(&events_path, telemetry.events_jsonl()).expect("write events");
     println!(
-        "\nwrote {} — load it at https://ui.perfetto.dev or chrome://tracing",
-        trace_path.display()
-    );
-    println!("wrote {} (structured counters)", report_path.display());
-    println!(
-        "wrote {} (host pipeline + device launches, one Perfetto process each)",
+        "\nwrote {} — load it at https://ui.perfetto.dev or chrome://tracing \
+         (host pipeline + device launches, one Perfetto process each)",
         unified_path.display()
     );
+    println!("wrote {} (structured counters)", report_path.display());
     println!("wrote {} (Prometheus exposition)", metrics_path.display());
     println!("wrote {} (per-update event log)", events_path.display());
 }

@@ -10,7 +10,7 @@ cd "$(dirname "$0")/.."
 
 echo "== formatting gate (first-party crates; vendor/ is exempt) =="
 cargo fmt --check \
-    -p dynbc -p dynbc-bc -p dynbc-bench -p dynbc-ds -p dynbc-graph \
+    -p dynbc -p dynbc-bc -p dynbc-bench -p dynbc-graph \
     -p dynbc-gpusim -p dynbc-lint -p dynbc-prof -p dynbc-serve \
     -p dynbc-telemetry
 
@@ -27,6 +27,11 @@ cargo build --release
 
 echo "== tier-1: test suite =="
 cargo test -q
+
+echo "== benchmark package tests: perfbench builds against this library =="
+# perfbench is a workspace of its own, so no workspace step compiles
+# it; a library API change that breaks the benchmark fails here.
+cargo test --offline -q --manifest-path perfbench/Cargo.toml
 
 echo "== workspace tests =="
 cargo test --workspace -q
@@ -59,10 +64,6 @@ for marker in '"edges_scanned"' '"kernels"' '"batch::fused::node#0"' \
     grep -q "$marker" "$PROF_DIR/profile_report.json" || {
         echo "profile_report.json missing $marker"; exit 1; }
 done
-for marker in '"traceEvents"' '"displayTimeUnit"' '"cat": "block"'; do
-    grep -q "$marker" "$PROF_DIR/profile_trace.json" || {
-        echo "profile_trace.json missing $marker"; exit 1; }
-done
 # Prometheus exposition parses: every required family present with HELP
 # and TYPE lines, histograms terminated by the +Inf bucket, and no
 # family declared twice.
@@ -84,8 +85,8 @@ grep -q 'le="+Inf"' "$PROF_DIR/metrics.prom" || {
 DUP_FAMILIES="$(grep '^# TYPE' "$PROF_DIR/metrics.prom" | sort | uniq -d)"
 [ -z "$DUP_FAMILIES" ] || {
     echo "metrics.prom declares families twice:"; echo "$DUP_FAMILIES"; exit 1; }
-for marker in '"host pipeline"' '"cat": "pipeline"' '"cat": "block"' \
-    '"L1/L2 hit rate"' '"cat": "memsim"'; do
+for marker in '"traceEvents"' '"displayTimeUnit"' '"cat": "block"' \
+    '"host pipeline"' '"cat": "pipeline"' '"L1/L2 hit rate"' '"cat": "memsim"'; do
     grep -q "$marker" "$PROF_DIR/unified_trace.json" || {
         echo "unified_trace.json missing $marker"; exit 1; }
 done
@@ -127,7 +128,7 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "== rustdoc-warning-clean first-party crates =="
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps \
-    -p dynbc -p dynbc-bc -p dynbc-bench -p dynbc-ds -p dynbc-graph \
+    -p dynbc -p dynbc-bc -p dynbc-bench -p dynbc-graph \
     -p dynbc-gpusim -p dynbc-lint -p dynbc-prof -p dynbc-serve \
     -p dynbc-telemetry
 

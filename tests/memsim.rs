@@ -15,10 +15,10 @@ fn stream(par: Parallelism, threads: usize, memsim: bool) -> (ProfileReport, Vec
     let mut rng = StdRng::seed_from_u64(42);
     let el = dynbc::graph::gen::ws(&mut rng, 150, 3, 0.2);
     let sources = sample_sources(&mut rng, 150, 8);
-    let mut eng = GpuDynamicBc::new(&el, &sources, DeviceConfig::test_tiny(), par);
-    eng.set_profiling(true);
-    eng.set_memsim(memsim);
-    eng.set_host_threads(threads);
+    let mut eng = GpuDynamicBc::new(&el, &sources, DeviceConfig::test_tiny(), par)
+        .with_profiling(true)
+        .with_memsim(memsim)
+        .with_host_threads(threads);
     let mut done = 0;
     let mut rng = StdRng::seed_from_u64(7);
     while done < 12 {
@@ -133,10 +133,12 @@ fn multi_stream(threads: usize) -> ProfileReport {
         DeviceConfig::test_tiny(),
         Parallelism::Node,
         3,
-    );
-    multi.set_profiling(true);
-    multi.set_memsim(true);
-    multi.set_host_threads(threads);
+    )
+    .with_devices(|e| {
+        e.with_profiling(true)
+            .with_memsim(true)
+            .with_host_threads(threads)
+    });
     multi.insert_edge(0, 99);
     multi.insert_edge(17, 61);
     multi.remove_edge(0, 99);

@@ -15,9 +15,9 @@ fn profiled_stream(par: Parallelism, threads: usize) -> ProfileReport {
     let mut rng = StdRng::seed_from_u64(42);
     let el = dynbc::graph::gen::ws(&mut rng, 150, 3, 0.2);
     let sources = sample_sources(&mut rng, 150, 8);
-    let mut eng = GpuDynamicBc::new(&el, &sources, DeviceConfig::test_tiny(), par);
-    eng.set_profiling(true);
-    eng.set_host_threads(threads);
+    let mut eng = GpuDynamicBc::new(&el, &sources, DeviceConfig::test_tiny(), par)
+        .with_profiling(true)
+        .with_host_threads(threads);
     let mut done = 0;
     let mut rng = StdRng::seed_from_u64(7);
     while done < 12 {
@@ -107,8 +107,8 @@ fn multi_gpu_merges_device_profiles_in_device_order() {
         DeviceConfig::test_tiny(),
         Parallelism::Node,
         3,
-    );
-    multi.set_profiling(true);
+    )
+    .with_devices(|e| e.with_profiling(true));
     multi.insert_edge(0, 99);
     multi.insert_edge(17, 61);
     let merged = multi.profile_report();

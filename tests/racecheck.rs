@@ -339,8 +339,8 @@ fn racecheck_clean_multi_sm_path() {
         DeviceConfig::test_tiny(),
         Parallelism::Node,
         3,
-    );
-    multi.set_racecheck(true);
+    )
+    .with_devices(|e| e.with_racecheck(true));
     let mut rng = StdRng::seed_from_u64(31);
     let mut done = 0;
     while done < 12 {
