@@ -46,7 +46,7 @@ impl UpdateResult {
 ///
 /// Carries no timing: fused execution times the batch as a whole, not
 /// its constituent ops (see [`BatchResult::model_seconds`]).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OpOutcome {
     /// The edge mutation this outcome belongs to.
     pub op: EdgeOp,

@@ -25,22 +25,24 @@
 //!    [`remove_edge`](GpuDynamicBc::remove_edge) as batch-of-one
 //!    wrappers.
 //!
-//! Simulated time accumulates on the engine's [`Gpu`] clock; host↔device
-//! staging (slack-store delta sync after the structure update, result
-//! downloads) stays off the clock, as in the paper's methodology.
+//! Each stage runs on one of two [`Backend`]s: the simulator, whose time
+//! accumulates on the engine's [`Gpu`] clock, or native direct execution,
+//! which charges no model time. Host↔device staging (slack-store delta
+//! sync after the structure update, result downloads) stays off the
+//! clock, as in the paper's methodology.
 //!
-//! Blocks of the fused launch may execute on real host threads
-//! (`DYNBC_HOST_THREADS`; see `dynbc-gpusim`). Every cross-block effect is
-//! made order-independent: the Algorithm 8 commit stages `BC` increments
-//! in per-*(op, block)* `bc_delta` slab rows that are reduced serially in
-//! row order after the launch, and the touched statistics land in
-//! per-block slots keyed by `(op, row)` — so simulated seconds, stats,
-//! and every `f64` of state are bit-identical for any thread count.
+//! On either backend, blocks of the fused launch may execute on real host
+//! threads (`DYNBC_HOST_THREADS`; see `dynbc-gpusim`). Every cross-block
+//! effect is made order-independent: the Algorithm 8 commit stages `BC`
+//! increments in per-*(op, block)* `bc_delta` slab rows that are reduced
+//! serially in row order after the launch, and the touched statistics
+//! land in per-block slots keyed by `(op, row)` — so simulated seconds,
+//! stats, and every `f64` of state are bit-identical for any thread
+//! count.
 
 use super::buffers::{ScratchBuffers, SlackGraphBuffers, StateBuffers};
 use super::exec::{self, Backend, ExecConfig};
 use crate::brandes::brandes_state;
-use crate::cases::InsertionCase;
 use crate::dynamic::result::{BatchResult, OpOutcome, SourceOutcome, UpdateResult};
 use crate::obs::{wall_since, Recorder, Volume};
 use crate::plan::{self, PlannedOp};
@@ -85,56 +87,6 @@ pub enum DedupStrategy {
     AtomicCas,
 }
 
-/// The hybrid router's online touched-set estimator: an EWMA of observed
-/// touched counts keyed on `(is_insert, case, ⌊log₂ d[u_high]⌋)` — the
-/// case taxonomy plus the root distance bucket, the two stage-start
-/// facts that best predict an update's footprint (the paper's Figure 1
-/// observation: the median Case 2 scenario touches <10% of |V|).
-///
-/// Purely model state — predictions and observations happen in
-/// deterministic stage order on deterministic inputs, so hybrid routing
-/// is reproducible for any host-thread count.
-#[derive(Debug, Default)]
-struct TouchedEstimator {
-    est: std::collections::HashMap<(bool, u8, u8), f64>,
-}
-
-impl TouchedEstimator {
-    /// Estimator key for one work item, from stage-start distances.
-    fn key(item: &exec::WorkItem, d_rows: &[&[u32]]) -> (bool, u8, u8) {
-        let case = match item.case {
-            InsertionCase::Same => 0u8,
-            InsertionCase::Adjacent => 1,
-            InsertionCase::Distant => 2,
-        };
-        let d = d_rows[item.row][item.u_high as usize];
-        let bucket = if d == u32::MAX {
-            33
-        } else {
-            (32 - d.leading_zeros()) as u8
-        };
-        (item.is_insert, case, bucket)
-    }
-
-    /// Predicted touched count for `key`; unseen keys fall back to the
-    /// Figure-1 prior (a tenth of the graph) except Distant items, whose
-    /// relocation/fallback machinery is assumed to touch everything.
-    fn predict(&self, key: (bool, u8, u8), n: usize) -> f64 {
-        self.est
-            .get(&key)
-            .copied()
-            .unwrap_or(if key.1 == 2 { n as f64 } else { 0.1 * n as f64 })
-    }
-
-    /// Folds an observed touched count into the estimate (EWMA, α = ½).
-    fn observe(&mut self, key: (bool, u8, u8), touched: usize) {
-        self.est
-            .entry(key)
-            .and_modify(|e| *e = 0.5 * *e + 0.5 * touched as f64)
-            .or_insert(touched as f64);
-    }
-}
-
 /// Dynamic betweenness centrality on the simulated GPU.
 #[derive(Debug)]
 pub struct GpuDynamicBc {
@@ -148,18 +100,6 @@ pub struct GpuDynamicBc {
     dedup: DedupStrategy,
     force_general: bool,
     backend: Backend,
-    router: TouchedEstimator,
-    router_cpu_stages: u64,
-    router_native_stages: u64,
-    /// True when a simulator-executed stage may have left non-untouched
-    /// `t` flags behind. The native kernels run *sparsely* — they assume
-    /// every `t` row is all-[`T_UNTOUCHED`] on entry and restore that
-    /// invariant on exit — while the simulator's full-row init kernel
-    /// neither needs nor maintains it, so switching backends mid-stream
-    /// requires one clearing pass.
-    ///
-    /// [`T_UNTOUCHED`]: crate::gpu::buffers::T_UNTOUCHED
-    scratch_t_dirty: bool,
     /// Host side of the device-resident dynamic adjacency: each committed
     /// op splices an O(degree) epoch delta into the slack rows instead of
     /// rebuilding a CSR snapshot. Settled (and possibly compacted) after
@@ -218,10 +158,6 @@ impl GpuDynamicBc {
             } else {
                 Backend::Simulator
             },
-            router: TouchedEstimator::default(),
-            router_cpu_stages: 0,
-            router_native_stages: 0,
-            scratch_t_dirty: false,
             slack,
             store,
             rec: Recorder::new(telemetry_from_env()),
@@ -230,12 +166,23 @@ impl GpuDynamicBc {
 
     /// Selects the execution backend; overrides
     /// `DYNBC_BACKEND`. Edge-parallel engines have no native kernels and
-    /// silently keep the simulator. All backends produce bit-identical
-    /// results; they trade the cost model and profiler (simulator) for
-    /// wall-clock speed (native/hybrid).
+    /// silently keep the simulator. Both backends produce bit-identical
+    /// results; native trades the cost model and profiler for wall-clock
+    /// speed.
+    ///
+    /// The native kernels run sparsely: they rely on every scratch `t`
+    /// row being all-[`T_UNTOUCHED`] on entry (and restore that on exit),
+    /// which the simulator's full-row init neither needs nor maintains.
+    /// Selecting native therefore clears `t` once, here — the only place
+    /// the backend can change after simulator stages have run.
+    ///
+    /// [`T_UNTOUCHED`]: crate::gpu::buffers::T_UNTOUCHED
     pub fn with_backend(mut self, backend: Backend) -> Self {
         if self.par == Parallelism::Node {
             self.backend = backend;
+            if backend == Backend::Native {
+                self.scr.t.fill(crate::gpu::buffers::T_UNTOUCHED);
+            }
         }
         self
     }
@@ -243,16 +190,6 @@ impl GpuDynamicBc {
     /// The execution backend batches run on.
     pub fn backend(&self) -> Backend {
         self.backend
-    }
-
-    /// Stages the hybrid router sent down the sequential CPU path.
-    pub fn router_cpu_stages(&self) -> u64 {
-        self.router_cpu_stages
-    }
-
-    /// Stages the hybrid router sent to the parallel native backend.
-    pub fn router_native_stages(&self) -> u64 {
-        self.router_native_stages
     }
 
     /// Selects the frontier duplicate-removal strategy (ablation knob).
@@ -530,21 +467,8 @@ impl GpuDynamicBc {
                 num_blocks: self.num_blocks,
             };
             // Backend dispatch. The simulator charges the cost model and
-            // feeds the profiler; the native paths trade both for wall
-            // clock. `routed` is Some(cpu) when the hybrid router made a
-            // decision for this stage.
-            //
-            // The native kernels run sparsely: they rely on every `t` row
-            // being all-untouched on entry (and restore that on exit).
-            // The simulator's full-row init doesn't maintain it, so one
-            // clearing pass is owed after any simulator-executed stage.
-            if self.backend != Backend::Simulator && self.scratch_t_dirty {
-                self.scr.t.fill(crate::gpu::buffers::T_UNTOUCHED);
-                self.scratch_t_dirty = false;
-            }
-            // dynbc-lint: allow(no-wall-clock) — router wall latency is an observability metric; routing decisions key on the touched-set estimate, not this clock
-            let route_t = std::time::Instant::now();
-            let (touched, routed) = match self.backend {
+            // feeds the profiler; native trades both for wall clock.
+            let touched = match self.backend {
                 Backend::Simulator => {
                     exec::charge_classification(
                         &mut self.gpu,
@@ -554,7 +478,7 @@ impl GpuDynamicBc {
                         &self.store,
                         stage_idx,
                     );
-                    let touched = exec::run_stage(
+                    exec::run_stage(
                         &mut self.gpu,
                         cfg,
                         &self.st,
@@ -562,62 +486,16 @@ impl GpuDynamicBc {
                         &stage,
                         &self.store,
                         stage_idx,
-                    );
-                    self.scratch_t_dirty = true;
-                    (touched, None)
+                    )
                 }
-                Backend::Native => {
-                    let workers = self.gpu.host_threads();
-                    let touched = crate::native::run_stage(
-                        cfg,
-                        &self.st,
-                        &self.scr,
-                        &stage,
-                        &self.store,
-                        workers,
-                    );
-                    (touched, None)
-                }
-                Backend::Hybrid => {
-                    let items = exec::stage_items(&stage);
-                    if items.is_empty() {
-                        (Vec::new(), None)
-                    } else {
-                        // Predict and key on *stage-start* distances —
-                        // both must happen before execution updates `d`
-                        // (and before the `d_rows` borrow goes stale).
-                        let keys: std::collections::HashMap<(usize, usize), (bool, u8, u8)> = items
-                            .iter()
-                            .map(|it| ((it.op_slot, it.row), TouchedEstimator::key(it, &d_rows)))
-                            .collect();
-                        let predicted: f64 = items
-                            .iter()
-                            .map(|it| self.router.predict(keys[&(it.op_slot, it.row)], self.st.n))
-                            .sum();
-                        let threshold = (self.st.n as f64 / 4.0).max(1024.0);
-                        let cpu = predicted <= threshold;
-                        let workers = if cpu { 1 } else { self.gpu.host_threads() };
-                        let touched = crate::native::run_stage(
-                            cfg,
-                            &self.st,
-                            &self.scr,
-                            &stage,
-                            &self.store,
-                            workers,
-                        );
-                        // Feed the observed footprints back into the
-                        // estimator, in deterministic item order.
-                        for &(op_slot, row, t) in &touched {
-                            self.router.observe(keys[&(op_slot, row)], t);
-                        }
-                        if cpu {
-                            self.router_cpu_stages += 1;
-                        } else {
-                            self.router_native_stages += 1;
-                        }
-                        (touched, Some(cpu))
-                    }
-                }
+                Backend::Native => crate::native::run_stage(
+                    cfg,
+                    &self.st,
+                    &self.scr,
+                    &stage,
+                    &self.store,
+                    self.gpu.host_workers(),
+                ),
             };
             // Stage epilogue: normalize the stage's epochs to settled
             // live/tombstone form — compacting deterministically when the
@@ -626,9 +504,6 @@ impl GpuDynamicBc {
             // like all staging).
             self.slack.settle();
             self.store.sync(&mut self.slack);
-            if let (Some(cpu), Some(tel)) = (routed, self.rec.telemetry_mut()) {
-                tel.record_router_stage(cpu, route_t.elapsed().as_secs_f64());
-            }
             let stage_clock1 = self.gpu.elapsed_seconds();
             let exec_wall = wall_since(exec_t);
             let commit_t = rb.timer();

@@ -19,8 +19,8 @@
 //!   and node-parallel form, executed on the `dynbc-gpusim` machine model,
 //!   plus the static-recomputation baselines;
 //! * `native` (private) — direct host execution of the node-parallel
-//!   kernels: the serving backend behind [`gpu::Backend`], bit-identical
-//!   to the simulator;
+//!   kernels over the host threads the engine is given: the serving
+//!   backend behind [`gpu::Backend`], bit-identical to the simulator;
 //! * [`accuracy`] — comparison utilities (error norms, rank correlation).
 
 #![forbid(unsafe_code)]

@@ -63,8 +63,8 @@ type DirtyRow = (usize, Option<Vec<u32>>);
 /// ownership, same return shape: the Figure-4 touched statistic as
 /// `(op_slot, row, touched)` triples.
 ///
-/// `workers <= 1` runs inline on the calling thread with no spawn at all
-/// — this is the hybrid router's "sequential CPU path".
+/// `workers` is already capped at the host's cores (`Gpu::host_workers`);
+/// `workers <= 1` runs inline on the calling thread with no spawn at all.
 pub(crate) fn run_stage(
     cfg: ExecConfig,
     st: &StateBuffers,
@@ -119,8 +119,7 @@ pub(crate) fn run_stage(
         }
         (out, dirty)
     };
-    let host_cores = std::thread::available_parallelism().map_or(1, |c| c.get());
-    let workers = workers.max(1).min(host_cores).min(busy.len());
+    let workers = workers.min(busy.len());
     let mut per_block: Vec<Vec<(usize, usize, usize)>> = Vec::with_capacity(busy.len());
     let mut dirty_rows: Vec<DirtyRow> = Vec::new();
     if workers <= 1 {

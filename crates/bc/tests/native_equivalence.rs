@@ -1,6 +1,5 @@
 //! Property test for the backend bit-exactness contract: the native
-//! direct-execution backend (and the hybrid router, which only ever picks
-//! between native worker counts) must be *bit*-identical to the SIMT
+//! direct-execution backend must be *bit*-identical to the SIMT
 //! simulator — same BC score bits, same per-op case tallies, same
 //! per-source touched statistics — on mixed insert/delete streams, for
 //! any host-thread count, on both the single- and multi-GPU engines.
@@ -9,6 +8,7 @@
 //! the machine model, so agreement here certifies the plain-loop
 //! translations in `bc/src/native` statement by statement.
 
+use dynbc_bc::cases::InsertionCase;
 use dynbc_bc::dynamic::{OpOutcome, SourceOutcome};
 use dynbc_bc::gpu::{Backend, GpuDynamicBc, MultiGpuDynamicBc, Parallelism};
 use dynbc_gpusim::DeviceConfig;
@@ -96,7 +96,7 @@ proptest! {
         if ops.is_empty() { return Ok(()); }
         let (oracle_bits, oracle_ops) = run_single(&el, &ops, Backend::Simulator, 1);
 
-        for backend in [Backend::Native, Backend::Hybrid] {
+        for backend in [Backend::Native] {
             for threads in [1usize, 2, 8] {
                 let (got_bits, got_ops) = run_single(&el, &ops, backend, threads);
                 prop_assert_eq!(got_ops.len(), oracle_ops.len());
@@ -129,7 +129,7 @@ proptest! {
         let oracle_br = oracle.apply_batch(&ops);
         let oracle_bits = bits(&oracle.bc());
 
-        for backend in [Backend::Native, Backend::Hybrid] {
+        for backend in [Backend::Native] {
             for threads in [1usize, 2, 8] {
                 let mut eng = MultiGpuDynamicBc::new(&el, &sources, device, Parallelism::Node, 2)
                     .with_devices(|e| e.with_backend(backend).with_host_threads(threads));
@@ -157,7 +157,7 @@ proptest! {
 /// under each child, plus one isolated vertex at the end — distances from
 /// root 0 are 0 / 1 / 2 / ∞, which lets a stream dial in exactly the case
 /// it wants.
-fn routing_graph(width: usize) -> EdgeList {
+fn two_level_tree(width: usize) -> EdgeList {
     let n = 1 + width + width * width + 1;
     let mut pairs: Vec<(u32, u32)> = Vec::new();
     for c in 0..width as u32 {
@@ -170,72 +170,91 @@ fn routing_graph(width: usize) -> EdgeList {
     EdgeList::from_pairs(n, pairs)
 }
 
-/// The hybrid router must send big updates (a component merge whose
-/// predicted footprint is the whole graph) to the parallel native backend
-/// and small Case 2 updates (predicted ~|V|/10, under the max(1024, n/4)
-/// threshold) down the sequential CPU path — with results bit-identical
-/// to both pure backends either way.
+/// A component merge (Case 3 for every source) followed by small Case 2
+/// insertions, one op per batch: native must match the simulator bit for
+/// bit at 1 and 2 host threads, outcome by outcome.
 #[test]
-fn hybrid_router_exercises_both_paths_on_mixed_stream() {
-    let width = 38; // n = 1 + 38 + 1444 + 1 = 1484; threshold = max(1024, 371) = 1024
-    let el = routing_graph(width);
-    let n = el.vertex_count() as u32;
-    let isolated = n - 1;
-    // One BC source at the root: grandchild g's distance is 2, child c's
-    // is 1, so (child, foreign grandchild) insertions are pure Case 2.
-    let sources = [0u32];
-    let ops: Vec<EdgeOp> = vec![
-        // Component merge: the isolated vertex is unreachable, so this is
-        // Case 3 with a default predicted footprint of n > 1024 → native.
+fn merge_then_case2_stream_is_bit_identical_across_backends() {
+    let width = 12;
+    let el = two_level_tree(width);
+    let isolated = el.vertex_count() as u32 - 1;
+    let grandchild = 1 + width as u32;
+    // Root, a child and a grandchild: three source rows, so two host
+    // threads have distinct blocks to fan over.
+    let sources = [0u32, 1, grandchild];
+    let ops = [
+        // The isolated vertex is unreachable from every source.
         EdgeOp::Insert(0, isolated),
-        // Tiny Case 2 updates: predicted 0.1·n ≈ 148 ≤ 1024 → CPU path.
-        EdgeOp::Insert(1, 1 + width as u32 + 1),
-        EdgeOp::Insert(2, 1 + width as u32 + 2),
-        EdgeOp::Insert(3, 1 + width as u32 + 3),
+        // (child, foreign grandchild): distances 1 and 2 from the root.
+        EdgeOp::Insert(1, grandchild + 1),
+        EdgeOp::Insert(2, grandchild + 2),
+        EdgeOp::Insert(3, grandchild + 3),
     ];
-
-    let mut hybrid = GpuDynamicBc::new(&el, &sources, DeviceConfig::test_tiny(), {
-        Parallelism::Node
-    })
-    .with_backend(Backend::Hybrid);
-    let mut cases = Vec::new();
-    for &op in &ops {
-        let (u, v) = op.endpoints();
-        cases.push(hybrid.insert_edge(u, v).cases);
-    }
-    assert_eq!(cases[0].distant, 1, "merge op must classify Case 3");
-    assert!(
-        (1..ops.len()).all(|i| cases[i].adjacent == 1),
-        "small ops must classify Case 2: {cases:?}"
-    );
-    assert!(
-        hybrid.router_native_stages() >= 1,
-        "the merge stage should route to the parallel native backend"
-    );
-    assert!(
-        hybrid.router_cpu_stages() >= 3,
-        "every small Case 2 stage should route to the sequential CPU path; \
-         cpu={} native={}",
-        hybrid.router_cpu_stages(),
-        hybrid.router_native_stages()
-    );
-
-    // Routing must not be observable in the results.
-    for backend in [Backend::Simulator, Backend::Native] {
-        let mut pure = GpuDynamicBc::new(&el, &sources, DeviceConfig::test_tiny(), {
+    let run = |backend: Backend, threads: usize| {
+        let mut eng = GpuDynamicBc::new(&el, &sources, DeviceConfig::test_tiny(), {
             Parallelism::Node
         })
-        .with_backend(backend);
-        for &op in &ops {
-            let (u, v) = op.endpoints();
-            pure.insert_edge(u, v);
-        }
-        assert_eq!(
-            bits(&pure.state_snapshot().bc),
-            bits(&hybrid.state_snapshot().bc),
-            "hybrid BC bits differ from {backend}"
-        );
+        .with_backend(backend)
+        .with_host_threads(threads);
+        let per_op: Vec<OpOutcome> = ops
+            .iter()
+            .flat_map(|&op| eng.apply_batch(&[op]).per_op)
+            .collect();
+        (bits(&eng.state_snapshot().bc), per_op)
+    };
+
+    let (oracle_bits, oracle_ops) = run(Backend::Simulator, 1);
+    assert_eq!(oracle_ops[0].cases.distant, 3, "merge is Case 3");
+    assert!(
+        oracle_ops[1..]
+            .iter()
+            .all(|o| o.per_source[0].case == InsertionCase::Adjacent),
+        "later ops are Case 2 for the root"
+    );
+    for threads in [1usize, 2] {
+        let (got_bits, got_ops) = run(Backend::Native, threads);
+        assert_eq!(got_ops, oracle_ops, "native t{threads}: per-op outcomes");
+        assert_eq!(got_bits, oracle_bits, "native t{threads}: BC bits");
     }
+}
+
+/// The backend can change after batches have run: simulator stages leave
+/// scratch `t` flags behind that the sparse native kernels must never see,
+/// so `with_backend(Native)` clears them. Switching mid-stream must match
+/// an all-simulator run.
+#[test]
+fn switching_to_native_after_simulator_stages_is_bit_identical() {
+    let mut rng = StdRng::seed_from_u64(11);
+    let el = dynbc_graph::gen::er(&mut rng, 40, 70);
+    let sources = sources_for(&el);
+    let ops = op_stream(&el, 5, 12);
+    let (head, tail) = ops.split_at(ops.len() / 2);
+    let engine = || {
+        GpuDynamicBc::new(&el, &sources, DeviceConfig::test_tiny(), Parallelism::Node)
+            .with_backend(Backend::Simulator)
+            .with_host_threads(1)
+    };
+    let apply = |eng: &mut GpuDynamicBc, ops: &[EdgeOp]| -> Vec<OpOutcome> {
+        ops.iter()
+            .flat_map(|&op| eng.apply_batch(&[op]).per_op)
+            .collect()
+    };
+
+    let mut oracle = engine();
+    let mut oracle_ops = apply(&mut oracle, head);
+    oracle_ops.extend(apply(&mut oracle, tail));
+
+    let mut switched = engine();
+    let mut got_ops = apply(&mut switched, head);
+    let mut switched = switched.with_backend(Backend::Native);
+    got_ops.extend(apply(&mut switched, tail));
+
+    assert_eq!(got_ops, oracle_ops, "per-op outcomes");
+    assert_eq!(
+        bits(&switched.state_snapshot().bc),
+        bits(&oracle.state_snapshot().bc),
+        "BC bits"
+    );
 }
 
 /// Touched statistics land in `SourceOutcome`s — make sure the import is

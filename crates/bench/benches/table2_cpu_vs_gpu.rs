@@ -37,12 +37,7 @@ fn main() {
     let mut max_node_speedup: f64 = 0.0;
     let mut edge_speedups = Vec::new();
     let mut measured: Vec<(&str, DynRun)> = Vec::new();
-    let mut wall_table = Table::new(vec![
-        "Graph",
-        "Node sim wall",
-        "Node native wall",
-        "Node hybrid wall",
-    ]);
+    let mut wall_table = Table::new(vec!["Graph", "Node sim wall", "Node native wall"]);
     for entry in &TABLE_I {
         let setup = build_setup(entry, &cfg);
         eprintln!(
@@ -74,23 +69,24 @@ fn main() {
                 fmt_speedup(p.node_speedup())
             ),
         ]);
-        // Serving-speed rows: the same node-parallel stream on the
-        // native and hybrid backends (identical results, no model
-        // clock — wall time is the number that matters there).
-        let on = |backend| setup.gpu(device, Parallelism::Node).with_backend(backend);
-        let (native, _) = run_gpu(&setup, on(Backend::Native));
-        let (hybrid, _) = run_gpu(&setup, on(Backend::Hybrid));
+        // Serving-speed row: the same node-parallel stream on the native
+        // backend (identical results, no model clock — wall time is the
+        // number that matters there).
+        let (native, _) = run_gpu(
+            &setup,
+            setup
+                .gpu(device, Parallelism::Node)
+                .with_backend(Backend::Native),
+        );
         wall_table.row(vec![
             entry.short.to_string(),
             fmt_seconds(node.total_wall_seconds),
             fmt_seconds(native.total_wall_seconds),
-            fmt_seconds(hybrid.total_wall_seconds),
         ]);
         measured.push((entry.short, cpu));
         measured.push((entry.short, edge));
         measured.push((entry.short, node));
         measured.push((entry.short, native));
-        measured.push((entry.short, hybrid));
     }
     println!("{}", table.render());
     println!("host wall-clock of the node-parallel stream per backend:");

@@ -359,6 +359,12 @@ impl Gpu {
         self.host_threads
     }
 
+    /// Host threads work may actually fan over: [`Gpu::host_threads`]
+    /// capped at the cores probed once in [`Gpu::new`].
+    pub fn host_workers(&self) -> usize {
+        self.host_threads.min(self.host_cores)
+    }
+
     /// The device configuration.
     pub fn device(&self) -> &DeviceConfig {
         &self.dev
@@ -491,10 +497,7 @@ impl Gpu {
     {
         let profiled = profiled || cached;
         let cache_cfg = cached.then_some(self.cache_cfg);
-        let threads = self
-            .host_threads
-            .min(self.host_cores)
-            .min(num_blocks.max(1));
+        let threads = self.host_workers().min(num_blocks.max(1));
         // Wall timing only when something records it (profiling or the
         // telemetry span log): the disabled path stays branch-predictable
         // with no clock syscalls.

@@ -45,7 +45,7 @@ pub const PROFILE_ENV: &str = "DYNBC_PROFILE";
 pub const TELEMETRY_ENV: &str = "DYNBC_TELEMETRY";
 
 /// Environment variable selecting the execution backend
-/// (`sim|native|hybrid`, read at engine construction by `dynbc-bc`).
+/// (`sim|native`, read at engine construction by `dynbc-bc`).
 pub const BACKEND_ENV: &str = "DYNBC_BACKEND";
 
 /// Multiplier on the suite's default vertex counts (bench harnesses).
@@ -124,7 +124,7 @@ pub const KNOBS: &[Knob] = &[
     Knob {
         name: BACKEND_ENV,
         default: "sim",
-        doc: "Execution backend: sim (SIMT interpreter), native, or hybrid routing",
+        doc: "Execution backend: sim (SIMT interpreter) or native",
     },
     Knob {
         name: RACECHECK_ENV,

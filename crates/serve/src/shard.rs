@@ -24,8 +24,8 @@ use crate::snapshot::{chain, Publisher, Snapshot, SnapshotHandle, SnapshotReader
 use crate::{family, ServeConfig};
 
 /// The engine a shard serves from — CPU baseline or the GPU engine
-/// (itself routed through the `Backend` seam: simulator, native, or
-/// hybrid). Both expose the same batch-apply and score-read surface.
+/// (on either `Backend`: simulator or native). Both expose the same
+/// batch-apply and score-read surface.
 #[derive(Debug)]
 pub enum ShardEngine {
     /// Sequential CPU engine (boxed: engines own per-source state

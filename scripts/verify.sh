@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # Repo verification gate: the dynbc-lint static analysis, tier-1
 # build+tests, the host-thread determinism regression at 1 and 4 threads,
-# the racecheck tier, profiler, memsim, and serve smoke tests, and a
+# the racecheck tier, profiler, memsim, and serve smoke tests, a check
+# that a retired DYNBC_BACKEND value fails loudly, and a
 # clippy-clean / warnings-clean / rustdoc-warning-clean workspace.
 # Run from anywhere inside the repo; exits non-zero on the first failure.
 set -eu
@@ -46,7 +47,7 @@ echo "== native backend determinism: DYNBC_BACKEND=native, 1 and 4 threads =="
 DYNBC_BACKEND=native DYNBC_HOST_THREADS=1 cargo test -q --test determinism_host_threads
 DYNBC_BACKEND=native DYNBC_HOST_THREADS=4 cargo test -q --test determinism_host_threads
 
-echo "== backend equivalence: native/hybrid bit-identical to the simulator =="
+echo "== backend equivalence: native bit-identical to the simulator =="
 cargo test -q -p dynbc-bc --test native_equivalence
 
 echo "== racecheck tier: checked execution of every BC kernel =="
@@ -70,8 +71,6 @@ done
 for family in dynbc_batches_total dynbc_ops_total dynbc_cases_total \
     dynbc_update_latency_model_seconds dynbc_update_latency_wall_seconds \
     dynbc_batch_size_ops dynbc_touched_fraction \
-    dynbc_router_decisions_total dynbc_router_cpu_latency_wall_seconds \
-    dynbc_router_native_latency_wall_seconds \
     dynbc_memsim_l1_requests_total dynbc_memsim_l2_requests_total \
     dynbc_memsim_evictions_total dynbc_memsim_l1_hit_ratio \
     dynbc_memsim_l2_hit_ratio; do
@@ -110,15 +109,19 @@ cargo run --release --example serve_topk | grep -q \
     'served scores match the CpuDynamicBc oracle bit for bit' || {
     echo "serve_topk smoke test failed its oracle check"; exit 1; }
 
-echo "== hybrid routing smoke test: DYNBC_BACKEND=hybrid router counters =="
-# The same trace under the hybrid backend must record router decisions
-# (the per-stage CPU-vs-native choice) in the Prometheus exposition.
-HYB_DIR="$(mktemp -d)"
-DYNBC_BACKEND=hybrid DYNBC_TELEMETRY=1 \
-    cargo run --release --example profile_trace -- "$HYB_DIR" > /dev/null
-grep -q '^dynbc_router_decisions_total{path="' "$HYB_DIR/metrics.prom" || {
-    echo "metrics.prom missing router decision series under hybrid backend"; exit 1; }
-rm -rf "$HYB_DIR"
+echo "== retired backend value: DYNBC_BACKEND fails loudly on it =="
+# Only sim and native exist; a removed value must stop the engine at
+# construction rather than silently fall back to the simulator.
+RETIRED_BACKEND=hybrid
+RETIRED_DIR="$(mktemp -d)"
+if RETIRED_OUT="$(DYNBC_BACKEND=$RETIRED_BACKEND \
+    cargo run --release --example profile_trace -- "$RETIRED_DIR" 2>&1)"; then
+    echo "DYNBC_BACKEND=$RETIRED_BACKEND was accepted"; exit 1
+fi
+rm -rf "$RETIRED_DIR"
+echo "$RETIRED_OUT" | grep -q 'expected sim or native' || {
+    echo "DYNBC_BACKEND=$RETIRED_BACKEND failed without naming the valid values:"
+    echo "$RETIRED_OUT"; exit 1; }
 
 echo "== warnings-clean workspace build =="
 RUSTFLAGS="-D warnings" cargo build --workspace --all-targets
