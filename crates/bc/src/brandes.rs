@@ -52,7 +52,7 @@ pub fn source_pass_on<T: crate::topology::Topology>(g: &T, s: VertexId) -> Sourc
         let v = order[head];
         head += 1;
         let dv = d[v as usize];
-        g.for_neighbors(v, |w| {
+        for w in g.neighbors_of(v) {
             if d[w as usize] == u32::MAX {
                 d[w as usize] = dv + 1;
                 order.push(w);
@@ -60,7 +60,7 @@ pub fn source_pass_on<T: crate::topology::Topology>(g: &T, s: VertexId) -> Sourc
             if d[w as usize] == dv + 1 {
                 sigma[w as usize] += sigma[v as usize];
             }
-        });
+        }
     }
     // Stage 3: dependency accumulation in reverse BFS order.
     for &w in order.iter().rev() {
@@ -70,11 +70,11 @@ pub fn source_pass_on<T: crate::topology::Topology>(g: &T, s: VertexId) -> Sourc
         }
         let sig_w = sigma[w as usize];
         let del_w = delta[w as usize];
-        g.for_neighbors(w, |v| {
+        for v in g.neighbors_of(w) {
             if d[v as usize] != u32::MAX && d[v as usize] + 1 == dw {
                 delta[v as usize] += sigma[v as usize] / sig_w * (1.0 + del_w);
             }
-        });
+        }
     }
     SourcePass { d, sigma, delta }
 }

@@ -220,12 +220,13 @@ impl CpuDynamicBc {
     /// bit for bit — to applying the same ops one at a time.
     ///
     /// # Panics
-    /// Panics (before touching any engine state) if any op is a self
-    /// loop, a duplicate insertion, or a removal of an absent edge.
+    /// Panics (before touching any engine state) if any op has an
+    /// out-of-range endpoint, or is a self loop, a duplicate insertion,
+    /// or a removal of an absent edge.
     pub fn apply_batch(&mut self, batch: &[EdgeOp]) -> BatchResult {
         let clock_before = self.model_clock_s;
         let mut rb = self.rec.begin(clock_before);
-        plan::validate_batch(&mut self.graph, batch);
+        plan::validate_batch(&self.graph, batch);
         rb.validated();
 
         // Counters accumulate per op (`op_ops`) and fold into the batch
@@ -776,6 +777,28 @@ mod tests {
     fn duplicate_insert_panics() {
         let mut eng = CpuDynamicBc::new(&path5(), &[0]);
         eng.insert_edge(0, 1);
+    }
+
+    #[test]
+    fn out_of_range_endpoint_leaves_the_batch_unsent() {
+        let el = EdgeList::from_pairs(4, [(0, 1), (1, 2)]);
+        let (mut eng, mut fresh) = (
+            CpuDynamicBc::new(&el, &[0, 3]),
+            CpuDynamicBc::new(&el, &[0, 3]),
+        );
+        let bad = [EdgeOp::Insert(2, 3), EdgeOp::Insert(0, 9)];
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| eng.apply_batch(&bad)));
+        let msg = *err.expect_err("must panic").downcast::<String>().unwrap();
+        assert!(msg.contains("endpoint out of range"), "{msg}");
+        assert_eq!(eng.graph().to_edge_list(), el, "graph untouched");
+        // Scores and a valid retry behave as if the batch was never sent.
+        for retry in [&[][..], &[EdgeOp::Insert(2, 3)]] {
+            assert_eq!(
+                eng.apply_batch(retry).per_op,
+                fresh.apply_batch(retry).per_op
+            );
+            assert_eq!(eng.state(), fresh.state());
+        }
     }
 
     #[test]

@@ -24,8 +24,7 @@
 //! update and excludes it from measurement).
 
 use crate::state::BcState;
-use dynbc_gpusim::GpuBuffer;
-use dynbc_graph::slack::{ROW_DIRTY_BIT, ROW_LEN_MASK};
+use dynbc_gpusim::{Gpu, GpuBuffer};
 use dynbc_graph::{SlackCsr, SlackDelta, VertexId};
 
 /// Queue-length / control slots per block in [`ScratchBuffers::lens`].
@@ -58,9 +57,10 @@ pub const ADJ_BORN_SHIFT: u32 = 24;
 pub const ADJ_VERTEX_MASK: u32 = (1 << ADJ_BORN_SHIFT) - 1;
 
 /// Device row-meta layout (the high word of each `row_pack` header).
-/// Richer than the host's `len | dirty` packing: the spare bits carry
-/// what a scan needs to prove, from the header alone, that no per-slot
-/// visibility work is required.
+/// Besides the occupied length, the bits carry what a scan needs to
+/// prove, from the header alone, that no per-slot visibility work is
+/// required. The host store knows nothing of this format: each header
+/// is derived from the row's epochs when the mirror is built or synced.
 ///
 /// Occupied-length field width (bits 0..23).
 pub const DEV_LEN_MASK: u32 = (1 << 23) - 1;
@@ -75,8 +75,9 @@ pub const DEV_BORN_MASK: u32 = 0x7f;
 /// a view below the max born can skip invisible slots positionally,
 /// never reading them.
 pub const DEV_SKIPS_BIT: u32 = 1 << 30;
-/// Set for rows needing per-slot epoch checks (tombstones, staged
-/// deaths, or a staged born past [`DEV_BORN_MASK`]).
+/// Set for *hard-dirty* rows, which need per-slot epoch checks:
+/// tombstones or staged deaths (visibility not monotone in the
+/// version), or a staged born past [`DEV_BORN_MASK`].
 pub const DEV_DIRTY_BIT: u32 = 1 << 31;
 /// Staged-slot entries per row in `staged_skips`: [`SKIP_WORDS`] `u64`
 /// words of four 16-bit `offset | born << 8` entries each, sorted by
@@ -143,9 +144,9 @@ pub struct SlackGraphBuffers {
 /// word. Settled-live slots (born 0) keep their value verbatim; staged
 /// births carry their version so soft-row scans can test visibility on
 /// the word they already read. The clamp to 255 only fires on slots
-/// whose born overflowed [`dynbc_graph::slack::STAGE_BORN_MAX`] or on
-/// gap/tombstone slots — both make the row hard-dirty (or lie beyond
-/// its occupied range), so the packed byte is never consulted there.
+/// whose born is past [`DEV_BORN_MASK`] or on gap slots — the first
+/// make their row hard-dirty and the second lie beyond its occupied
+/// range, so the packed byte is never consulted there.
 #[inline]
 fn pack_adj(adj: u32, epoch: u64) -> u32 {
     adj | ((epoch >> 32) as u32).min(u32::from(u8::MAX)) << ADJ_BORN_SHIFT
@@ -155,37 +156,33 @@ fn pack_adj(adj: u32, epoch: u64) -> u32 {
 /// host store.
 ///
 /// One host-side pass over the row's occupied epochs (off the
-/// simulated clock, like all staging) collects every staged-birth
-/// slot. The device meta keeps the host's length and dirty bit, and
-/// adds the max staged born plus — when the staged slots fit
-/// [`SKIP_SLOTS`] entries at sub-256 offsets — [`DEV_SKIPS_BIT`] and
-/// the packed `offset | born << 8` entry list. A staged born past
-/// [`DEV_BORN_MASK`] sets [`DEV_DIRTY_BIT`]: the epoch path stays
-/// exact for stages too deep for the seven-bit field.
+/// simulated clock, like all staging) grades the row: a tombstone, a
+/// staged death, or a staged born past [`DEV_BORN_MASK`] sets
+/// [`DEV_DIRTY_BIT`] (the epoch path stays exact for stages too deep
+/// for the seven-bit field). Otherwise the pass collects every
+/// staged-birth slot, and the meta carries the max staged born plus —
+/// when the staged slots fit [`SKIP_SLOTS`] entries at sub-256 offsets
+/// — [`DEV_SKIPS_BIT`] and the packed `offset | born << 8` entry list.
 fn device_row_header(host: &SlackCsr, v: VertexId) -> (u64, [u64; SKIP_WORDS]) {
-    let host_meta = host.row_meta(v);
-    let start = host.row_start()[v as usize];
-    let len = host_meta & ROW_LEN_MASK;
+    let (start, end) = host.occupied(v);
+    let len = (end - start) as u32;
     assert!(len <= DEV_LEN_MASK, "row degree overflows the device meta");
-    let mut dirty = host_meta & ROW_DIRTY_BIT != 0;
+    let mut dirty = false;
     let mut staged: Vec<(u32, u32)> = Vec::new();
     let mut listed = true;
-    if !dirty {
-        let row = &host.epochs()[start as usize..(start + len) as usize];
-        for (off, &e) in row.iter().enumerate() {
-            let born = (e >> 32) as u32;
-            if born == 0 {
-                continue; // settled-live (soft rows hold nothing else)
-            }
-            if born > DEV_BORN_MASK {
-                dirty = true;
-                break;
-            }
-            if off < 256 {
-                staged.push((born, off as u32));
-            } else {
-                listed = false;
-            }
+    for (off, &e) in host.epochs()[start..end].iter().enumerate() {
+        let born = (e >> 32) as u32;
+        if e as u32 != u32::MAX || born > DEV_BORN_MASK {
+            dirty = true;
+            break;
+        }
+        if born == 0 {
+            continue; // settled-live
+        }
+        if off < 256 {
+            staged.push((born, off as u32));
+        } else {
+            listed = false;
         }
     }
     let max_born = staged.iter().map(|&(b, _)| b).max().unwrap_or(0);
@@ -205,12 +202,12 @@ fn device_row_header(host: &SlackCsr, v: VertexId) -> (u64, [u64; SKIP_WORDS]) {
         let skip_bit = if listed { DEV_SKIPS_BIT } else { 0 };
         len | max_born << DEV_BORN_SHIFT | skip_bit
     };
-    (u64::from(start) | u64::from(meta) << 32, skips)
+    (start as u64 | u64::from(meta) << 32, skips)
 }
 
 impl SlackGraphBuffers {
-    /// Uploads the host store's current layout wholesale.
-    pub fn from_slack(host: &SlackCsr) -> Self {
+    /// Uploads the host store's current layout wholesale to `gpu`.
+    pub fn from_slack(gpu: &Gpu, host: &SlackCsr) -> Self {
         let n = host.vertex_count();
         assert!(
             n <= ADJ_VERTEX_MASK as usize,
@@ -232,11 +229,11 @@ impl SlackGraphBuffers {
         Self {
             n,
             capacity: host.capacity(),
-            row_pack: GpuBuffer::from_vec(pack).named("row_pack"),
-            staged_skips: GpuBuffer::from_vec(skips).named("staged_skips"),
-            adj: GpuBuffer::from_vec(adj).named("adj"),
-            epochs: GpuBuffer::from_slice(host.epochs()).named("epochs"),
-            slot_tails: GpuBuffer::from_slice(host.slot_tails()).named("slot_tails"),
+            row_pack: gpu.upload("row_pack", pack),
+            staged_skips: gpu.upload("staged_skips", skips),
+            adj: gpu.upload("adj", adj),
+            epochs: gpu.upload("epochs", host.epochs().to_vec()),
+            slot_tails: gpu.upload("slot_tails", host.slot_tails().to_vec()),
         }
     }
 
@@ -246,14 +243,14 @@ impl SlackGraphBuffers {
     /// owning row's meta word — O(degree) staging per op, the whole
     /// point of the slack store. A relayout (row growth or compaction)
     /// invalidates slot indices, so any journal containing one rebuilds
-    /// every buffer from the host's current layout instead.
-    pub fn sync(&mut self, host: &mut SlackCsr) {
+    /// every buffer on `gpu` from the host's current layout instead.
+    pub fn sync(&mut self, gpu: &Gpu, host: &mut SlackCsr) {
         let deltas = host.take_deltas();
         if deltas.is_empty() {
             return;
         }
         if deltas.iter().any(|d| matches!(d, SlackDelta::Relayout)) {
-            *self = Self::from_slack(host);
+            *self = Self::from_slack(gpu, host);
             return;
         }
         let (adj, epochs) = (host.adj(), host.epochs());
@@ -294,8 +291,8 @@ pub struct StateBuffers {
 }
 
 impl StateBuffers {
-    /// Uploads a host-side [`BcState`].
-    pub fn upload(state: &BcState) -> Self {
+    /// Uploads a host-side [`BcState`] to `gpu`.
+    pub fn upload(gpu: &Gpu, state: &BcState) -> Self {
         let n = state.n;
         let k = state.sources.len();
         let mut d = Vec::with_capacity(k * n);
@@ -310,10 +307,10 @@ impl StateBuffers {
             n,
             k,
             sources: state.sources.clone(),
-            bc: GpuBuffer::from_slice(&state.bc).named("bc"),
-            d: GpuBuffer::from_vec(d).named("d"),
-            sigma: GpuBuffer::from_vec(sigma).named("sigma"),
-            delta: GpuBuffer::from_vec(delta).named("delta"),
+            bc: gpu.upload("bc", state.bc.clone()),
+            d: gpu.upload("d", d),
+            sigma: gpu.upload("sigma", sigma),
+            delta: gpu.upload("delta", delta),
         }
     }
 
@@ -390,9 +387,9 @@ pub struct ScratchBuffers {
 }
 
 impl ScratchBuffers {
-    /// Allocates scratch for `blocks` blocks over `n`-vertex rows, with
-    /// queue rows wide enough for `num_arcs` per-level pushes.
-    pub fn new(blocks: usize, n: usize, num_arcs: usize) -> Self {
+    /// Allocates scratch on `gpu` for `blocks` blocks over `n`-vertex
+    /// rows, with queue rows wide enough for `num_arcs` per-level pushes.
+    pub fn new(gpu: &Gpu, blocks: usize, n: usize, num_arcs: usize) -> Self {
         let qw = Self::queue_width(n, num_arcs);
         // 32 f64 = 256 bytes: every slab row starts on a segment-aligned
         // boundary, like the BC array itself.
@@ -402,16 +399,16 @@ impl ScratchBuffers {
             blocks,
             qw,
             bc_stride,
-            t: GpuBuffer::new(blocks * n, T_UNTOUCHED).named("t"),
-            sigma_hat: GpuBuffer::new(blocks * n, 0.0).named("sigma_hat"),
-            delta_hat: GpuBuffer::new(blocks * n, 0.0).named("delta_hat"),
-            d_hat: GpuBuffer::new(blocks * n, 0).named("d_hat"),
-            bc_delta: GpuBuffer::new(blocks * bc_stride, 0.0).named("bc_delta"),
-            q: GpuBuffer::new(blocks * qw, 0).named("q"),
-            q2: GpuBuffer::new(blocks * qw, 0).named("q2"),
-            qq: GpuBuffer::new(blocks * qw, 0).named("qq"),
-            scan: GpuBuffer::new(blocks * 2 * qw, 0).named("scan"),
-            lens: GpuBuffer::new(blocks * LEN_SLOTS, 0).named("lens"),
+            t: gpu.alloc("t", blocks * n, T_UNTOUCHED),
+            sigma_hat: gpu.alloc("sigma_hat", blocks * n, 0.0),
+            delta_hat: gpu.alloc("delta_hat", blocks * n, 0.0),
+            d_hat: gpu.alloc("d_hat", blocks * n, 0),
+            bc_delta: gpu.alloc("bc_delta", blocks * bc_stride, 0.0),
+            q: gpu.alloc("q", blocks * qw, 0),
+            q2: gpu.alloc("q2", blocks * qw, 0),
+            qq: gpu.alloc("qq", blocks * qw, 0),
+            scan: gpu.alloc("scan", blocks * 2 * qw, 0),
+            lens: gpu.alloc("lens", blocks * LEN_SLOTS, 0),
         }
     }
 
@@ -425,16 +422,16 @@ impl ScratchBuffers {
     /// Grows the queue rows if `num_arcs` no longer fits (the insertion
     /// stream adds arcs). Queue contents are per-update scratch, so the
     /// old rows are simply dropped; per-vertex rows never change size.
-    pub fn ensure_arc_capacity(&mut self, num_arcs: usize) {
+    pub fn ensure_arc_capacity(&mut self, gpu: &Gpu, num_arcs: usize) {
         let qw = Self::queue_width(self.n, num_arcs);
         if qw <= self.qw {
             return;
         }
         self.qw = qw;
-        self.q = GpuBuffer::new(self.blocks * qw, 0).named("q");
-        self.q2 = GpuBuffer::new(self.blocks * qw, 0).named("q2");
-        self.qq = GpuBuffer::new(self.blocks * qw, 0).named("qq");
-        self.scan = GpuBuffer::new(self.blocks * 2 * qw, 0).named("scan");
+        self.q = gpu.alloc("q", self.blocks * qw, 0);
+        self.q2 = gpu.alloc("q2", self.blocks * qw, 0);
+        self.qq = gpu.alloc("qq", self.blocks * qw, 0);
+        self.scan = gpu.alloc("scan", self.blocks * 2 * qw, 0);
     }
 
     /// Base offset of block `b`'s `n`-wide rows.
@@ -463,12 +460,12 @@ impl ScratchBuffers {
     /// and the drain can replay sequential commit order. Slab contents
     /// are per-launch scratch (always drained back to zero), so the old
     /// buffer is simply dropped.
-    pub fn ensure_bc_rows(&mut self, rows: usize) {
+    pub fn ensure_bc_rows(&mut self, gpu: &Gpu, rows: usize) {
         let rows = rows.max(self.blocks);
         if rows <= self.bc_rows() {
             return;
         }
-        self.bc_delta = GpuBuffer::new(rows * self.bc_stride, 0.0).named("bc_delta");
+        self.bc_delta = gpu.alloc("bc_delta", rows * self.bc_stride, 0.0);
     }
 
     /// Reduces the BC delta slab into `bc`, **serially in row order**,
@@ -523,13 +520,41 @@ impl ScratchBuffers {
 mod tests {
     use super::*;
     use crate::brandes::brandes_state;
+    use crate::gpu::kernels::{GraphView, RowCheck};
+    use dynbc_gpusim::{DeviceConfig, HostReader};
     use dynbc_graph::{Csr, EdgeList};
+
+    fn gpu() -> Gpu {
+        Gpu::new(DeviceConfig::test_tiny())
+    }
+
+    /// The device meta word (header high word) of row `v`.
+    fn meta(gb: &SlackGraphBuffers, v: VertexId) -> u32 {
+        (gb.row_pack.host_get(v as usize) >> 32) as u32
+    }
+
+    /// How a view at `ver` grades row `v`.
+    fn grade(gb: &SlackGraphBuffers, v: VertexId, ver: u32) -> RowCheck {
+        GraphView { store: gb, ver }.row(&mut HostReader, v).2
+    }
+
+    /// Syncs `gb` and checks it equals a mirror built from scratch.
+    fn sync_and_check(gb: &mut SlackGraphBuffers, slack: &mut SlackCsr) {
+        gb.sync(&gpu(), slack);
+        let fresh = SlackGraphBuffers::from_slack(&gpu(), slack);
+        assert_eq!(gb.capacity, fresh.capacity);
+        assert_eq!(gb.row_pack.to_vec(), fresh.row_pack.to_vec());
+        assert_eq!(gb.staged_skips.to_vec(), fresh.staged_skips.to_vec());
+        assert_eq!(gb.adj.to_vec(), fresh.adj.to_vec());
+        assert_eq!(gb.epochs.to_vec(), slack.epochs());
+        assert_eq!(gb.slot_tails.to_vec(), slack.slot_tails());
+    }
 
     #[test]
     fn slack_mirror_matches_host_store() {
         let el = EdgeList::from_pairs(4, [(0, 1), (1, 2), (2, 3), (0, 3)]);
         let slack = SlackCsr::from_csr_exact(&Csr::from_edge_list(&el));
-        let gb = SlackGraphBuffers::from_slack(&slack);
+        let gb = SlackGraphBuffers::from_slack(&gpu(), &slack);
         assert_eq!(gb.n, 4);
         assert_eq!(gb.capacity, 8, "exact layout: capacity == arc count");
         let pack = gb.row_pack.to_vec();
@@ -543,9 +568,10 @@ mod tests {
             assert!((0..4).contains(&t));
             assert!(slack.has_edge(t, gb.adj.host_get(s) & ADJ_VERTEX_MASK));
         }
-        for v in 0..4u32 {
-            assert_eq!((pack[v as usize] >> 32) as u32, slack.row_meta(v));
-        }
+        assert!(
+            (0..4).all(|v| meta(&gb, v) == 2),
+            "settled rows: just the length"
+        );
     }
 
     #[test]
@@ -554,30 +580,17 @@ mod tests {
         // Generous slack, compaction off: the mutations below stay
         // in-place slot rewrites, never a relayout.
         let mut slack = SlackCsr::from_csr(&Csr::from_edge_list(&el), 100, 100);
-        let mut gb = SlackGraphBuffers::from_slack(&slack);
-        let cap0 = gb.capacity;
+        let mut gb = SlackGraphBuffers::from_slack(&gpu(), &slack);
         assert!(slack.insert_edge(0, 5));
         assert!(slack.remove_edge(2, 3));
-        gb.sync(&mut slack);
+        sync_and_check(&mut gb, &mut slack);
         assert_eq!(slack.relayouts(), 0, "slack absorbed both mutations");
-        assert_eq!(gb.capacity, cap0);
-        let packed: Vec<u32> = slack
-            .adj()
-            .iter()
-            .zip(slack.epochs())
-            .map(|(&a, &e)| pack_adj(a, e))
-            .collect();
-        assert_eq!(gb.adj.to_vec(), packed);
-        assert_eq!(gb.epochs.to_vec(), slack.epochs());
-        for v in 0..6u32 {
-            assert_eq!(
-                (gb.row_pack.host_get(v as usize) >> 32) as u32,
-                slack.row_meta(v)
-            );
-        }
-        // Second sync with nothing pending is a no-op.
-        gb.sync(&mut slack);
-        assert_eq!(gb.adj.to_vec(), packed);
+        // Only the tombstoned rows 2 and 3 are hard-dirty; len counts
+        // the tombstone.
+        let dirty: Vec<u32> = (0..6).map(|v| meta(&gb, v) & DEV_DIRTY_BIT).collect();
+        assert_eq!(dirty, [0, 0, DEV_DIRTY_BIT, DEV_DIRTY_BIT, 0, 0]);
+        assert_eq!(meta(&gb, 2) & DEV_LEN_MASK, 2);
+        sync_and_check(&mut gb, &mut slack); // nothing pending: a no-op
     }
 
     #[test]
@@ -586,26 +599,69 @@ mod tests {
         // Zero slack leaves one spare slot per row; the second insert
         // into row 1 overflows it and forces growth.
         let mut slack = SlackCsr::from_csr(&Csr::from_edge_list(&el), 0, 100);
-        let mut gb = SlackGraphBuffers::from_slack(&slack);
+        let mut gb = SlackGraphBuffers::from_slack(&gpu(), &slack);
         assert!(slack.insert_edge(1, 3));
         assert!(slack.insert_edge(1, 4));
-        gb.sync(&mut slack);
+        sync_and_check(&mut gb, &mut slack);
         assert!(slack.relayouts() > 0, "zero-slack rows must grow");
-        assert_eq!(gb.capacity, slack.capacity());
-        for v in 0..5usize {
-            let p = gb.row_pack.host_get(v);
-            assert_eq!(p as u32, slack.row_start()[v]);
-            assert_eq!((p >> 32) as u32, slack.row_meta(v as u32));
-        }
-        let packed: Vec<u32> = slack
-            .adj()
-            .iter()
-            .zip(slack.epochs())
-            .map(|(&a, &e)| pack_adj(a, e))
-            .collect();
-        assert_eq!(gb.adj.to_vec(), packed);
-        assert_eq!(gb.epochs.to_vec(), slack.epochs());
-        assert_eq!(gb.slot_tails.to_vec(), slack.slot_tails());
+    }
+
+    #[test]
+    fn header_grades_staged_births_and_deaths() {
+        let el = EdgeList::from_pairs(4, [(0, 1), (2, 3)]);
+        let mut slack = SlackCsr::from_csr(&Csr::from_edge_list(&el), 25, 90);
+        let mut gb = SlackGraphBuffers::from_slack(&gpu(), &slack);
+        slack.insert_edge_versioned(1, 2, 1);
+        slack.remove_edge_versioned(2, 3, 2);
+        sync_and_check(&mut gb, &mut slack);
+        // A staged birth alone is soft and listed: views below it skip
+        // exactly the staged slot (after neighbour 0), views at it see all.
+        assert_eq!(meta(&gb, 1), 2 | 1 << DEV_BORN_SHIFT | DEV_SKIPS_BIT);
+        let at = slack.occupied(1).0 + 1;
+        assert!(matches!(grade(&gb, 1, 0), RowCheck::SkipAt(s) if s[..2] == [at, usize::MAX]));
+        assert_eq!(grade(&gb, 1, 1), RowCheck::Packed);
+        // A staged death is hard-dirty: visibility is not monotone.
+        assert_eq!(grade(&gb, 2, 3), RowCheck::Epoch);
+        slack.settle();
+        sync_and_check(&mut gb, &mut slack);
+        assert_eq!(meta(&gb, 1), 2, "a settled insert leaves the row clean");
+        assert_eq!(
+            meta(&gb, 2),
+            2 | DEV_DIRTY_BIT,
+            "the tombstone keeps it dirty"
+        );
+    }
+
+    #[test]
+    fn header_survives_relayout_and_gates_born_overflow() {
+        let el = EdgeList::from_pairs(7, [(0, 1), (0, 2)]);
+        // Zero slack: row 0 (cap 3) overflows on the second staged
+        // insert, forcing a mid-stage relayout that keeps its epochs.
+        let mut slack = SlackCsr::from_csr(&Csr::from_edge_list(&el), 0, 90);
+        let mut gb = SlackGraphBuffers::from_slack(&gpu(), &slack);
+        slack.insert_edge_versioned(0, 3, 1);
+        slack.insert_edge_versioned(0, 4, 2);
+        slack.insert_edge_versioned(0, 5, DEV_BORN_MASK);
+        sync_and_check(&mut gb, &mut slack);
+        assert!(slack.relayouts() >= 1, "row 0 must have grown mid-stage");
+        assert_eq!(
+            meta(&gb, 0),
+            5 | DEV_BORN_MASK << DEV_BORN_SHIFT | DEV_SKIPS_BIT,
+            "soft, max born 127"
+        );
+        assert_eq!(grade(&gb, 0, DEV_BORN_MASK), RowCheck::Packed);
+        // One born past the seven-bit field degrades only its row.
+        slack.insert_edge_versioned(0, 6, DEV_BORN_MASK + 1);
+        sync_and_check(&mut gb, &mut slack);
+        assert_eq!(grade(&gb, 0, DEV_BORN_MASK + 1), RowCheck::Epoch);
+        assert_eq!(meta(&gb, 3) & DEV_DIRTY_BIT, 0);
+        // Borns past the adjacency word's byte clamp there, unread.
+        slack.insert_edge_versioned(1, 2, 300);
+        sync_and_check(&mut gb, &mut slack);
+        assert_eq!(grade(&gb, 1, 0), RowCheck::Epoch);
+        slack.settle();
+        sync_and_check(&mut gb, &mut slack);
+        assert_eq!(meta(&gb, 0), 6, "settled: clean again");
     }
 
     #[test]
@@ -613,14 +669,14 @@ mod tests {
         let el = EdgeList::from_pairs(5, [(0, 1), (1, 2), (2, 3), (3, 4)]);
         let csr = Csr::from_edge_list(&el);
         let state = brandes_state(&csr, &[0, 2]);
-        let dev = StateBuffers::upload(&state);
+        let dev = StateBuffers::upload(&gpu(), &state);
         let back = dev.download();
         assert_eq!(back, state);
     }
 
     #[test]
     fn scratch_row_offsets() {
-        let scr = ScratchBuffers::new(3, 10, 40);
+        let scr = ScratchBuffers::new(&gpu(), 3, 10, 40);
         assert_eq!(scr.row(2), 20);
         assert!(scr.qw.is_power_of_two());
         assert!(scr.qw >= 50);
@@ -636,7 +692,7 @@ mod tests {
 
     #[test]
     fn bc_delta_drains_in_block_order_and_rezeroes() {
-        let scr = ScratchBuffers::new(3, 4, 0);
+        let scr = ScratchBuffers::new(&gpu(), 3, 4, 0);
         let bc = GpuBuffer::new(4, 1.0f64);
         scr.bc_delta.host_set(scr.bc_row(0), 0.5); // block 0, v = 0
         scr.bc_delta.host_set(scr.bc_row(2), 0.25); // block 2, v = 0
@@ -651,11 +707,11 @@ mod tests {
 
     #[test]
     fn ensure_bc_rows_grows_and_drains_in_row_order() {
-        let mut scr = ScratchBuffers::new(2, 4, 0);
+        let mut scr = ScratchBuffers::new(&gpu(), 2, 4, 0);
         assert_eq!(scr.bc_rows(), 2);
-        scr.ensure_bc_rows(1); // never below one row per block
+        scr.ensure_bc_rows(&gpu(), 1); // never below one row per block
         assert_eq!(scr.bc_rows(), 2);
-        scr.ensure_bc_rows(6); // 3 ops × 2 blocks
+        scr.ensure_bc_rows(&gpu(), 6); // 3 ops × 2 blocks
         assert_eq!(scr.bc_rows(), 6);
         assert_eq!(scr.bc_delta.len(), 6 * scr.bc_stride);
         let bc = GpuBuffer::new(4, 0.0f64);
@@ -668,11 +724,11 @@ mod tests {
 
     #[test]
     fn ensure_arc_capacity_grows_queue_rows_only() {
-        let mut scr = ScratchBuffers::new(2, 10, 16);
+        let mut scr = ScratchBuffers::new(&gpu(), 2, 10, 16);
         let qw0 = scr.qw;
-        scr.ensure_arc_capacity(8); // smaller: no-op
+        scr.ensure_arc_capacity(&gpu(), 8); // smaller: no-op
         assert_eq!(scr.qw, qw0);
-        scr.ensure_arc_capacity(8 * qw0);
+        scr.ensure_arc_capacity(&gpu(), 8 * qw0);
         assert!(scr.qw > qw0);
         assert!(scr.qw.is_power_of_two());
         assert_eq!(scr.q.len(), 2 * scr.qw);

@@ -8,10 +8,11 @@
 //! Updates flow through the three-layer batch pipeline:
 //!
 //! 1. the **plan layer** ([`crate::plan`]) validates the batch against
-//!    the graph, commits ops in submission order, and classifies every
-//!    `(source, op)` pair — Case 1 / D1 sources are dropped before any
-//!    launch ("figuring out which case each source node has to compute
-//!    is trivial");
+//!    the graph without mutating it, then each op is committed to the
+//!    slack store in submission order and every `(source, op)` pair is
+//!    classified — Case 1 / D1 sources are dropped before any launch
+//!    ("figuring out which case each source node has to compute is
+//!    trivial");
 //! 2. the **exec layer** (`super::exec`) fuses each stage's surviving
 //!    work items into a single grid over the device-resident slack store:
 //!    each op records only its O(degree) epoch delta and its items read
@@ -19,8 +20,9 @@
 //!    with a per-*(op, block)* BC delta slab so batching is bit-identical
 //!    to one-at-a-time application;
 //! 3. this module owns the device, the persistent buffers — including the
-//!    [`SlackCsr`] host store and its [`SlackGraphBuffers`] device mirror
-//!    — and the public API: [`GpuDynamicBc::apply_batch`], with
+//!    [`SlackCsr`] host store, the engine's only host graph, and its
+//!    [`SlackGraphBuffers`] device mirror — and the public API:
+//!    [`GpuDynamicBc::apply_batch`], with
 //!    [`insert_edge`](GpuDynamicBc::insert_edge) /
 //!    [`remove_edge`](GpuDynamicBc::remove_edge) as batch-of-one
 //!    wrappers.
@@ -51,7 +53,7 @@ use dynbc_gpusim::knob;
 use dynbc_gpusim::{
     telemetry_from_env, CacheConfig, DeviceConfig, Gpu, GpuBuffer, KernelStats, ProfileReport,
 };
-use dynbc_graph::{Csr, DynGraph, EdgeList, EdgeOp, SlackCsr, VertexId};
+use dynbc_graph::{Csr, EdgeList, EdgeOp, SlackCsr, VertexId};
 use dynbc_telemetry::{Span, Telemetry};
 
 /// Fine-grained work decomposition: one thread per arc, or one thread per
@@ -92,7 +94,6 @@ pub enum DedupStrategy {
 pub struct GpuDynamicBc {
     gpu: Gpu,
     par: Parallelism,
-    graph: DynGraph,
     st: StateBuffers,
     scr: ScratchBuffers,
     case_buf: GpuBuffer<u32>,
@@ -100,11 +101,12 @@ pub struct GpuDynamicBc {
     dedup: DedupStrategy,
     force_general: bool,
     backend: Backend,
-    /// Host side of the device-resident dynamic adjacency: each committed
-    /// op splices an O(degree) epoch delta into the slack rows instead of
-    /// rebuilding a CSR snapshot. Settled (and possibly compacted) after
-    /// every stage; `slack.to_csr()` canonicalizes to the exact bytes
-    /// `graph.to_csr()` produces.
+    /// The engine's graph, and the host side of the device-resident
+    /// dynamic adjacency: each committed op splices an O(degree) epoch
+    /// delta into the slack rows instead of rebuilding a CSR snapshot.
+    /// Validation and planning read it too. Settled (and possibly
+    /// compacted) after every stage; `slack.to_csr()` canonicalizes to
+    /// the exact bytes `Csr::from_edge_list` produces for its edge set.
     slack: SlackCsr,
     /// Device mirror of `slack`, kept current by replaying its delta
     /// journal ([`SlackGraphBuffers::sync`]) — every kernel of every
@@ -132,21 +134,24 @@ impl GpuDynamicBc {
             knob::parse_from_env(knob::SLACK_FACTOR_ENV, 25u32),
             knob::parse_from_env(knob::SLACK_COMPACT_ENV, 25u32),
         );
-        let store = SlackGraphBuffers::from_slack(&slack);
+        // Every buffer is allocated through the engine's own device, so
+        // its synthetic addresses depend on nothing else in the process.
+        let gpu = Gpu::new(device);
+        let store = SlackGraphBuffers::from_slack(&gpu, &slack);
         // The scratch pool: allocated once, reused by every update (and
         // grown on demand — see `apply_batch`). Queue rows start with
         // headroom for the insertion stream growing the graph; sizing
         // follows the slack store's slot capacity, since edge-parallel
         // kernels scan every slot.
-        let scr = ScratchBuffers::new(num_blocks, el.vertex_count(), store.capacity + 4096);
+        let scr = ScratchBuffers::new(&gpu, num_blocks, el.vertex_count(), store.capacity + 4096);
+        let st = StateBuffers::upload(&gpu, &state);
+        let case_buf = gpu.alloc("case", sources.len(), 0);
         Self {
-            gpu: Gpu::new(device),
+            gpu,
             par,
-            // dynbc-lint: allow(hot-path-rebuild) — one-time engine construction, not the batch update path
-            graph: DynGraph::from_edge_list(el),
-            st: StateBuffers::upload(&state),
+            st,
             scr,
-            case_buf: GpuBuffer::new(sources.len(), 0).named("case"),
+            case_buf,
             num_blocks,
             dedup: DedupStrategy::default(),
             force_general: false,
@@ -327,9 +332,9 @@ impl GpuDynamicBc {
         self.gpu.device()
     }
 
-    /// The engine's current graph.
-    pub fn graph(&self) -> &DynGraph {
-        &self.graph
+    /// The engine's current graph: the settled slack store.
+    pub fn graph(&self) -> &SlackCsr {
+        &self.slack
     }
 
     /// Cumulative simulated seconds across all updates.
@@ -391,12 +396,13 @@ impl GpuDynamicBc {
     /// ops into SMs idled by heavy ones.
     ///
     /// # Panics
-    /// Panics (before touching any engine state) if any op is a self
-    /// loop, a duplicate insertion, or a removal of an absent edge.
+    /// Panics (before touching any engine state) if any op has an
+    /// out-of-range endpoint, or is a self loop, a duplicate insertion,
+    /// or a removal of an absent edge.
     pub fn apply_batch(&mut self, batch: &[EdgeOp]) -> BatchResult {
         let clock_before = self.gpu.elapsed_seconds();
         let mut rb = self.rec.begin(clock_before);
-        plan::validate_batch(&mut self.graph, batch);
+        plan::validate_batch(&self.slack, batch);
         rb.validated();
         let prof_launches_before = self.gpu.profile_report().launches.len();
         if rb.on() {
@@ -410,17 +416,15 @@ impl GpuDynamicBc {
         let mut stage_idx = 0usize;
         while next < batch.len() {
             // Plan one stage (host side, off the simulated clock): commit
-            // each op to the graph and classify it against the stage-start
-            // distances — valid because only the stage's last op may
-            // change any distance. Each op splices an O(degree) versioned
-            // delta into the slack store; its work items read the store at
-            // that version, so the fused launch sees exactly the adjacency
-            // the sequential path would.
+            // each op to the slack store and classify it against the
+            // stage-start distances — valid because only the stage's last
+            // op may change any distance. Work items read the store at
+            // their op's version: exactly the sequential path's adjacency.
             let plan_t = rb.timer();
             // Stage-start distance rows, borrowed straight from the
             // device buffer (classification only reads; nothing writes
             // `d` until the stage executes). The borrow is a field-level
-            // split from `self.graph` / `self.scr`, so no k×n copy.
+            // split from `self.slack`, so no k×n copy.
             let d_flat = self.st.d.host();
             let n = self.st.n;
             let d_rows: Vec<&[u32]> = (0..self.st.k)
@@ -429,17 +433,18 @@ impl GpuDynamicBc {
             let stage_base = next;
             let mut stage: Vec<PlannedOp> = Vec::new();
             while next < batch.len() {
-                let planned = plan::plan_op(&mut self.graph, &d_rows, batch[next]);
-                // Mirror the committed op into the slack store at stage
-                // version `slot + 1`: an O(degree) epoch splice instead of
-                // the O(V + E) snapshot clone per op the CSR path cost.
-                // Even Case-1-only ops (which launch nothing) apply their
-                // delta — later ops of the stage read versions above them.
+                // Commit the op at stage version `slot + 1`: an O(degree)
+                // epoch splice. Even Case-1-only ops (which launch nothing)
+                // apply their delta — later ops of the stage read versions
+                // above them. The store's latest version is then the graph
+                // after this op, which the removal classifier must see.
+                let op = batch[next];
                 let ver = stage.len() as u32 + 1;
-                match planned.op {
+                match op {
                     EdgeOp::Insert(u, v) => self.slack.insert_edge_versioned(u, v, ver),
                     EdgeOp::Remove(u, v) => self.slack.remove_edge_versioned(u, v, ver),
                 }
+                let planned = plan::classify_op(&self.slack, &d_rows, op);
                 next += 1;
                 let cut = planned.cuts_stage();
                 stage.push(planned);
@@ -449,7 +454,7 @@ impl GpuDynamicBc {
             }
             // Replay the stage's deltas onto the device mirror before any
             // kernel reads it (off the simulated clock, like all staging).
-            self.store.sync(&mut self.slack);
+            self.store.sync(&self.gpu, &mut self.slack);
 
             // Scratch sized by batch width: queue rows for the widest
             // snapshot, one BC-delta slab row per (op, block) pair.
@@ -457,8 +462,10 @@ impl GpuDynamicBc {
             let stage_clock0 = self.gpu.elapsed_seconds();
             let exec_t = rb.timer();
 
-            self.scr.ensure_arc_capacity(self.store.capacity + 4096);
-            self.scr.ensure_bc_rows(stage.len() * self.num_blocks);
+            self.scr
+                .ensure_arc_capacity(&self.gpu, self.store.capacity + 4096);
+            self.scr
+                .ensure_bc_rows(&self.gpu, stage.len() * self.num_blocks);
 
             let cfg = ExecConfig {
                 par: self.par,
@@ -503,7 +510,7 @@ impl GpuDynamicBc {
             // resulting deltas onto the device mirror (off the clock,
             // like all staging).
             self.slack.settle();
-            self.store.sync(&mut self.slack);
+            self.store.sync(&self.gpu, &mut self.slack);
             let stage_clock1 = self.gpu.elapsed_seconds();
             let exec_wall = wall_since(exec_t);
             let commit_t = rb.timer();
@@ -580,7 +587,7 @@ impl GpuDynamicBc {
 mod tests {
     use super::*;
     use crate::brandes::sample_sources;
-    use dynbc_graph::gen;
+    use dynbc_graph::{gen, DynGraph};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -930,6 +937,33 @@ mod tests {
             br.model_seconds,
             seq_seconds
         );
+    }
+
+    #[test]
+    fn out_of_range_endpoint_leaves_the_batch_unsent() {
+        let el = EdgeList::from_pairs(4, [(0, 1), (1, 2)]);
+        let (mut eng, mut fresh) = (
+            engine(&el, &[0, 3], Parallelism::Node),
+            engine(&el, &[0, 3], Parallelism::Node),
+        );
+        let bad = [EdgeOp::Insert(2, 3), EdgeOp::Insert(0, 9)];
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| eng.apply_batch(&bad)));
+        let msg = *err.expect_err("must panic").downcast::<String>().unwrap();
+        assert!(msg.contains("endpoint out of range"), "{msg}");
+        assert_eq!(
+            eng.graph().to_csr(),
+            Csr::from_edge_list(&el),
+            "graph untouched"
+        );
+        // Scores and a valid retry behave as if the batch was never sent.
+        for retry in [&[][..], &[EdgeOp::Insert(2, 3)]] {
+            assert_eq!(
+                eng.apply_batch(retry).per_op,
+                fresh.apply_batch(retry).per_op
+            );
+            assert_eq!(eng.state_snapshot(), fresh.state_snapshot());
+        }
+        assert_eq!(eng.elapsed_seconds(), fresh.elapsed_seconds());
     }
 
     #[test]

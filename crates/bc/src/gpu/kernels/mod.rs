@@ -27,7 +27,7 @@ use super::buffers::{
     DEV_BORN_MASK, DEV_BORN_SHIFT, DEV_DIRTY_BIT, DEV_LEN_MASK, DEV_SKIPS_BIT, SKIP_SLOTS,
     SKIP_WORDS,
 };
-use dynbc_gpusim::Lane;
+use dynbc_gpusim::DeviceReader;
 use dynbc_graph::slack::epoch_visible;
 use dynbc_graph::VertexId;
 
@@ -70,21 +70,23 @@ pub struct GraphView<'a> {
 }
 
 impl<'a> GraphView<'a> {
-    /// The settled (version-0) view of a store.
-    #[inline]
-    pub fn settled(store: &'a SlackGraphBuffers) -> Self {
-        Self { store, ver: 0 }
-    }
-
     /// Row `v`'s occupied slot range and its visibility grade
     /// (`(start, end, check)`). The whole header is one aligned 8-byte
-    /// word, so the open costs a single charged load — one instruction,
-    /// one 32-byte segment (the old CSR `R` pair took two loads). A
-    /// view below the row's max staged born additionally loads the
-    /// staged-skip words when the header offers them.
+    /// word, so the open costs a single read — one instruction, one
+    /// 32-byte segment when `r` is a charged [`Lane`] (the old CSR `R`
+    /// pair took two loads). A view below the row's max staged born
+    /// additionally reads the staged-skip words when the header offers
+    /// them.
+    ///
+    /// Every read method takes a [`DeviceReader`]: kernels pass their
+    /// lane, the native backend the uncharged [`HostReader`], so both
+    /// decode the mirror through this one path.
+    ///
+    /// [`Lane`]: dynbc_gpusim::Lane
+    /// [`HostReader`]: dynbc_gpusim::HostReader
     #[inline]
-    pub fn row(&self, lane: &mut Lane<'_>, v: VertexId) -> (usize, usize, RowCheck) {
-        let header = lane.read(&self.store.row_pack, v as usize);
+    pub fn row<R: DeviceReader>(&self, r: &mut R, v: VertexId) -> (usize, usize, RowCheck) {
+        let header = r.read(&self.store.row_pack, v as usize);
         let start = header as u32 as usize;
         let meta = (header >> 32) as u32;
         let end = start + (meta & DEV_LEN_MASK) as usize;
@@ -97,7 +99,7 @@ impl<'a> GraphView<'a> {
             let mut skips = [usize::MAX; SKIP_SLOTS];
             let mut k = 0;
             for w in 0..SKIP_WORDS {
-                let word = lane.read(&self.store.staged_skips, SKIP_WORDS * v as usize + w);
+                let word = r.read(&self.store.staged_skips, SKIP_WORDS * v as usize + w);
                 if !self.collect_skips(start, word, &mut skips, &mut k) {
                     break;
                 }
@@ -134,108 +136,40 @@ impl<'a> GraphView<'a> {
     /// Reads slot `e` under `check`, returning its neighbour if the
     /// slot is visible at this view's version. On the packed grade the
     /// visibility test uses the born byte of the adjacency word itself
-    /// — one charged read per slot, exactly the scan's payload word; on
-    /// the epoch grade the epoch word is checked first and the
-    /// adjacency word only read (and charged) for visible slots.
+    /// — one read per slot, exactly the scan's payload word; on the
+    /// epoch grade the epoch word is checked first and the adjacency
+    /// word only read (and charged) for visible slots.
     #[inline]
-    pub fn slot(&self, lane: &mut Lane<'_>, check: &RowCheck, e: usize) -> Option<VertexId> {
+    pub fn slot<R: DeviceReader>(&self, r: &mut R, check: &RowCheck, e: usize) -> Option<VertexId> {
         match check {
             RowCheck::Packed => {
-                let w = lane.read(&self.store.adj, e);
+                let w = r.read(&self.store.adj, e);
                 (w >> ADJ_BORN_SHIFT <= self.ver).then_some(w & ADJ_VERTEX_MASK)
             }
             RowCheck::SkipAt(skips) => {
                 if skips.contains(&e) {
                     None // invisible staged slot: stepped over, never read
                 } else {
-                    Some(lane.read(&self.store.adj, e) & ADJ_VERTEX_MASK)
+                    Some(self.neighbour(r, e))
                 }
             }
-            RowCheck::Epoch => {
-                if epoch_visible(lane.read(&self.store.epochs, e), self.ver) {
-                    Some(lane.read(&self.store.adj, e) & ADJ_VERTEX_MASK)
-                } else {
-                    None
-                }
-            }
+            RowCheck::Epoch => self.live(r, e).then(|| self.neighbour(r, e)),
         }
     }
 
-    /// Slot `e`'s neighbour id, charging the adjacency read to `lane`.
-    /// For slots already known visible (an [`GraphView::live`] edge
-    /// thread, or positions a kernel recorded itself).
+    /// Slot `e`'s neighbour id, reading its adjacency word. For slots
+    /// already known visible (an [`GraphView::live`] edge thread, or
+    /// positions a kernel recorded itself).
     #[inline]
-    pub fn neighbour(&self, lane: &mut Lane<'_>, e: usize) -> VertexId {
-        lane.read(&self.store.adj, e) & ADJ_VERTEX_MASK
+    pub fn neighbour<R: DeviceReader>(&self, r: &mut R, e: usize) -> VertexId {
+        r.read(&self.store.adj, e) & ADJ_VERTEX_MASK
     }
 
-    /// Whether slot `e` is visible at this view's version, charging the
-    /// epoch read to `lane`. Gap and tombstone slots are never visible.
+    /// Whether slot `e` is visible at this view's version, reading its
+    /// epoch word. Gap and tombstone slots are never visible.
     #[inline]
-    pub fn live(&self, lane: &mut Lane<'_>, e: usize) -> bool {
-        epoch_visible(lane.read(&self.store.epochs, e), self.ver)
-    }
-
-    /// Host-side (uncharged) [`GraphView::row`] for the native backend.
-    #[inline]
-    pub fn row_host(&self, v: VertexId) -> (usize, usize, RowCheck) {
-        let header = self.store.row_pack.host_get(v as usize);
-        let start = header as u32 as usize;
-        let meta = (header >> 32) as u32;
-        let end = start + (meta & DEV_LEN_MASK) as usize;
-        let check = if meta & DEV_DIRTY_BIT != 0 {
-            RowCheck::Epoch
-        } else if self.ver >= (meta >> DEV_BORN_SHIFT) & DEV_BORN_MASK || meta & DEV_SKIPS_BIT == 0
-        {
-            RowCheck::Packed
-        } else {
-            let mut skips = [usize::MAX; SKIP_SLOTS];
-            let mut k = 0;
-            for w in 0..SKIP_WORDS {
-                let word = self
-                    .store
-                    .staged_skips
-                    .host_get(SKIP_WORDS * v as usize + w);
-                if !self.collect_skips(start, word, &mut skips, &mut k) {
-                    break;
-                }
-            }
-            RowCheck::SkipAt(skips)
-        };
-        (start, end, check)
-    }
-
-    /// Host-side (uncharged) [`GraphView::slot`] for the native backend.
-    #[inline]
-    pub fn slot_host(&self, check: &RowCheck, e: usize) -> Option<VertexId> {
-        match check {
-            RowCheck::Packed => {
-                let w = self.store.adj.host_get(e);
-                (w >> ADJ_BORN_SHIFT <= self.ver).then_some(w & ADJ_VERTEX_MASK)
-            }
-            RowCheck::SkipAt(skips) => {
-                if skips.contains(&e) {
-                    None
-                } else {
-                    Some(self.store.adj.host_get(e) & ADJ_VERTEX_MASK)
-                }
-            }
-            RowCheck::Epoch => self
-                .live_host(e)
-                .then(|| self.store.adj.host_get(e) & ADJ_VERTEX_MASK),
-        }
-    }
-
-    /// Host-side (uncharged) [`GraphView::neighbour`].
-    #[inline]
-    pub fn neighbour_host(&self, e: usize) -> VertexId {
-        self.store.adj.host_get(e) & ADJ_VERTEX_MASK
-    }
-
-    /// Host-side (uncharged) [`GraphView::live`] for the native backend.
-    #[inline]
-    pub fn live_host(&self, e: usize) -> bool {
-        epoch_visible(self.store.epochs.host_get(e), self.ver)
+    pub fn live<R: DeviceReader>(&self, r: &mut R, e: usize) -> bool {
+        epoch_visible(r.read(&self.store.epochs, e), self.ver)
     }
 }
 

@@ -17,7 +17,7 @@ use super::engine::{GpuDynamicBc, Parallelism};
 use crate::dynamic::result::{BatchResult, UpdateResult};
 use crate::obs::{Recorder, Volume};
 use dynbc_gpusim::{telemetry_from_env, DeviceConfig, ProfileReport};
-use dynbc_graph::{DynGraph, EdgeList, EdgeOp, VertexId};
+use dynbc_graph::{EdgeList, EdgeOp, SlackCsr, VertexId};
 use dynbc_telemetry::{Span, Telemetry};
 
 /// Dynamic BC across several (simulated) GPUs.
@@ -117,7 +117,7 @@ impl MultiGpuDynamicBc {
 
     /// The shared graph (every replica is identical; the first is
     /// authoritative).
-    pub fn graph(&self) -> &DynGraph {
+    pub fn graph(&self) -> &SlackCsr {
         self.devices[0].graph()
     }
 

@@ -3,10 +3,12 @@
 //! Each function mirrors one kernel in [`crate::gpu::kernels`] (or
 //! [`crate::gpu::static_bc`]) with the SIMT scaffolding stripped:
 //! `parallel_for` loops become plain loops in the simulator's lane
-//! order, `lane.read`/`write` become [`host_get`]/[`host_set`], atomics
-//! become plain read-modify-write (everything inside a native block is
-//! sequential; cross-block cells are disjoint by the scratch layout),
-//! and barriers, labels, and profiling charges disappear.
+//! order, `lane.read`/`write` become [`host_get`]/[`host_set`],
+//! adjacency is decoded by the kernels' own [`GraphView`] methods over
+//! the uncharged [`HostReader`], atomics become plain read-modify-write
+//! (everything inside a native block is sequential; cross-block cells
+//! are disjoint by the scratch layout), and barriers, labels, and
+//! profiling charges disappear.
 //!
 //! On top of that, the O(|V|)-per-item kernels — init and commit — run
 //! in O(touched) here, which is what makes the native backend a serving
@@ -42,6 +44,7 @@ use crate::gpu::buffers::{
 use crate::gpu::engine::DedupStrategy;
 use crate::gpu::kernels::common::SeedMode;
 use crate::gpu::kernels::{Ctx, GraphView};
+use dynbc_gpusim::HostReader;
 
 const INF: u32 = u32::MAX;
 
@@ -251,9 +254,9 @@ pub(crate) fn sp_node(ctx: &Ctx<'_>, dedup: DedupStrategy) -> u32 {
             let sig_hat_v = ctx.scr.sigma_hat.host_get(ctx.sn(v));
             let sig_v = ctx.st.sigma.host_get(ctx.kn(v));
             let push = sig_hat_v - sig_v;
-            let (start, end, check) = ctx.g.row_host(v);
+            let (start, end, check) = ctx.g.row(&mut HostReader, v);
             for e in start..end {
-                let Some(w) = ctx.g.slot_host(&check, e) else {
+                let Some(w) = ctx.g.slot(&mut HostReader, &check, e) else {
                     continue;
                 };
                 if ctx.st.d.host_get(ctx.kn(w)) == depth + 1 {
@@ -320,9 +323,9 @@ pub(crate) fn dep_node(ctx: &Ctx<'_>, deepest: u32) {
             let del_hat_w = ctx.scr.delta_hat.host_get(ctx.sn(w));
             let sig_w = ctx.st.sigma.host_get(ctx.kn(w));
             let del_w = ctx.st.delta.host_get(ctx.kn(w));
-            let (start, end, check) = ctx.g.row_host(w);
+            let (start, end, check) = ctx.g.row(&mut HostReader, w);
             for e in start..end {
-                let Some(v) = ctx.g.slot_host(&check, e) else {
+                let Some(v) = ctx.g.slot(&mut HostReader, &check, e) else {
                     continue;
                 };
                 if ctx.st.d.host_get(ctx.kn(v)) != depth - 1 {
@@ -380,10 +383,10 @@ pub(crate) fn phase1_node(ctx: &Ctx<'_>) -> u32 {
             if ctx.scr.d_hat.host_get(ctx.sn(v)) != level {
                 continue;
             }
-            let (start_e, end_e, check) = ctx.g.row_host(v);
+            let (start_e, end_e, check) = ctx.g.row(&mut HostReader, v);
             let mut sig = 0.0;
             for e in start_e..end_e {
-                let Some(x) = ctx.g.slot_host(&check, e) else {
+                let Some(x) = ctx.g.slot(&mut HostReader, &check, e) else {
                     continue;
                 };
                 if dhat(ctx, x) == level - 1 {
@@ -399,9 +402,9 @@ pub(crate) fn phase1_node(ctx: &Ctx<'_>) -> u32 {
             if ctx.scr.d_hat.host_get(ctx.sn(v)) != level {
                 continue;
             }
-            let (start_e, end_e, check) = ctx.g.row_host(v);
+            let (start_e, end_e, check) = ctx.g.row(&mut HostReader, v);
             for e in start_e..end_e {
-                let Some(w) = ctx.g.slot_host(&check, e) else {
+                let Some(w) = ctx.g.slot(&mut HostReader, &check, e) else {
                     continue;
                 };
                 let dw = dhat(ctx, w);
@@ -454,9 +457,9 @@ pub(crate) fn mark_node(ctx: &Ctx<'_>, deepest_down: u32) -> u32 {
             };
             let dw_new = ctx.scr.d_hat.host_get(ctx.sn(w));
             let dw_old = ctx.st.d.host_get(ctx.kn(w));
-            let (start_e, end_e, check) = ctx.g.row_host(w);
+            let (start_e, end_e, check) = ctx.g.row(&mut HostReader, w);
             for e in start_e..end_e {
-                let Some(x) = ctx.g.slot_host(&check, e) else {
+                let Some(x) = ctx.g.slot(&mut HostReader, &check, e) else {
                     continue;
                 };
                 if ctx.scr.t.host_get(ctx.sn(x)) != T_UNTOUCHED {
@@ -520,10 +523,10 @@ pub(crate) fn phase2_node(ctx: &Ctx<'_>, max_depth: u32) {
     loop {
         for &w in &buckets[depth as usize] {
             let sig_hat_w = ctx.scr.sigma_hat.host_get(ctx.sn(w));
-            let (start_e, end_e, check) = ctx.g.row_host(w);
+            let (start_e, end_e, check) = ctx.g.row(&mut HostReader, w);
             let mut acc = 0.0;
             for e in start_e..end_e {
-                let Some(x) = ctx.g.slot_host(&check, e) else {
+                let Some(x) = ctx.g.slot(&mut HostReader, &check, e) else {
                     continue;
                 };
                 if dhat(ctx, x) != depth + 1 {
@@ -642,9 +645,9 @@ pub(crate) fn static_source_node(
         for tid in 0..q_len {
             let v = scr.q.host_get(qrow + tid);
             let sig_v = scr.sigma_hat.host_get(row + v as usize);
-            let (start, end, check) = g.row_host(v);
+            let (start, end, check) = g.row(&mut HostReader, v);
             for e in start..end {
-                let Some(w) = g.slot_host(&check, e) else {
+                let Some(w) = g.slot(&mut HostReader, &check, e) else {
                     continue;
                 };
                 let w = w as usize;
@@ -688,9 +691,9 @@ pub(crate) fn static_source_node(
             }
             let sig_w = scr.sigma_hat.host_get(row + w);
             let del_w = scr.delta_hat.host_get(row + w);
-            let (start, end, check) = g.row_host(w as u32);
+            let (start, end, check) = g.row(&mut HostReader, w as u32);
             for e in start..end {
-                let Some(v) = g.slot_host(&check, e) else {
+                let Some(v) = g.slot(&mut HostReader, &check, e) else {
                     continue;
                 };
                 let v = v as usize;

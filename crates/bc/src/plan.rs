@@ -28,7 +28,9 @@
 //! [`PlannedOp::cuts_stage`] is that boundary predicate.
 
 use crate::cases::{CaseCounts, InsertionCase, INF};
-use dynbc_graph::{DynGraph, EdgeOp, VertexId};
+use crate::topology::Topology;
+use dynbc_graph::{BatchOpError, BatchOpErrorKind, DynGraph, EdgeOp, VertexId};
+use std::collections::BTreeMap;
 
 /// A classified `(source, op)` pair, oriented so `u_high` is the endpoint
 /// nearer the source ("higher in the BFS tree") and `u_low` the farther
@@ -92,7 +94,7 @@ pub fn classify(d: &[u32], u: VertexId, v: VertexId) -> Classified {
 /// `d_low − 1` keeps all distances intact; only path counts shrink),
 /// D3 → `Distant` (the removed edge was `u_low`'s sole predecessor, so
 /// distances grow and the engine falls back to a fresh source pass).
-pub fn classify_removal(d: &[u32], u: VertexId, v: VertexId, g: &DynGraph) -> Classified {
+pub fn classify_removal<G: Topology>(d: &[u32], u: VertexId, v: VertexId, g: &G) -> Classified {
     let du = d[u as usize];
     let dv = d[v as usize];
     if du == dv {
@@ -108,7 +110,7 @@ pub fn classify_removal(d: &[u32], u: VertexId, v: VertexId, g: &DynGraph) -> Cl
     let (u_high, u_low) = if du < dv { (u, v) } else { (v, u) };
     let d_low = d[u_low as usize];
     let survives = g
-        .neighbors(u_low)
+        .neighbors_of(u_low)
         .any(|x| d[x as usize] != INF && d[x as usize] + 1 == d_low);
     Classified {
         case: if survives {
@@ -157,14 +159,7 @@ impl PlannedOp {
     }
 }
 
-/// Commits `op` to `g` and classifies every source against the distance
-/// rows `d` (`d[row]` = that source's distances, valid at the current
-/// stage start).
-///
-/// Removals are committed *before* classification — the
-/// surviving-predecessor scan must not see the deleted edge — while
-/// insertion classification only reads distances, so one commit-then-
-/// classify order serves both.
+/// Commits `op` to `g` and classifies it ([`classify_op`]).
 ///
 /// # Panics
 /// Panics if the op is a no-op (self loop, duplicate insert, absent
@@ -176,6 +171,18 @@ pub fn plan_op<R: AsRef<[u32]>>(g: &mut DynGraph, d: &[R], op: EdgeOp) -> Planne
         applied,
         "plan_op: {op} is a no-op (validate the batch first)"
     );
+    classify_op(g, d, op)
+}
+
+/// Classifies every source for `op` against the distance rows `d`
+/// (`d[row]` = that source's distances, valid at the current stage
+/// start). `g` must already reflect `op`.
+///
+/// Removals are classified *after* their commit — the
+/// surviving-predecessor scan must not see the deleted edge — while
+/// insertion classification only reads distances, so one
+/// commit-then-classify order serves both.
+pub fn classify_op<G: Topology, R: AsRef<[u32]>>(g: &G, d: &[R], op: EdgeOp) -> PlannedOp {
     let (u, v) = op.endpoints();
     let sources: Vec<Classified> = match op {
         EdgeOp::Insert(..) => d.iter().map(|row| classify(row.as_ref(), u, v)).collect(),
@@ -185,11 +192,16 @@ pub fn plan_op<R: AsRef<[u32]>>(g: &mut DynGraph, d: &[R], op: EdgeOp) -> Planne
             .collect(),
     };
     let mut cases = CaseCounts::default();
-    let mut scan_edges = 0u64;
     for c in &sources {
         cases.record(c.case);
-        if !op.is_insert() && c.case != InsertionCase::Same {
-            scan_edges += u64::from(g.degree(c.u_low));
+    }
+    // One degree per endpoint, not per source: on the slack store a
+    // degree is a row scan.
+    let mut scan_edges = 0u64;
+    if !op.is_insert() {
+        let (deg_u, deg_v) = (g.degree_of(u) as u64, g.degree_of(v) as u64);
+        for c in sources.iter().filter(|c| c.case != InsertionCase::Same) {
+            scan_edges += if c.u_low == u { deg_u } else { deg_v };
         }
     }
     PlannedOp {
@@ -201,17 +213,38 @@ pub fn plan_op<R: AsRef<[u32]>>(g: &mut DynGraph, d: &[R], op: EdgeOp) -> Planne
 }
 
 /// Checks a whole batch against the graph before any engine state is
-/// touched: commits it (all or nothing, with rollback inside
-/// [`DynGraph::apply_batch`]) and immediately undoes it again, leaving
-/// the graph at its pre-batch edge set.
+/// touched, without mutating anything: each op is judged against the
+/// graph's edge set overlaid with the edges the batch's earlier ops
+/// inserted or removed.
 ///
 /// # Panics
-/// Panics with the offending op's diagnostics if any op is invalid; the
-/// graph is left unchanged in that case too.
-pub fn validate_batch(g: &mut DynGraph, ops: &[EdgeOp]) {
-    match g.apply_batch(ops) {
-        Ok(()) => g.undo_batch(ops),
-        Err(e) => panic!("{e}"),
+/// Panics with the first offending op's [`BatchOpError`] if any
+/// endpoint is out of range, or an op is a self loop, a duplicate
+/// insertion, or a removal of an absent edge.
+pub fn validate_batch<G: Topology>(g: &G, ops: &[EdgeOp]) {
+    let n = g.vertex_count();
+    let mut overlay: BTreeMap<(VertexId, VertexId), bool> = BTreeMap::new();
+    for (index, &op) in ops.iter().enumerate() {
+        let (u, v) = op.endpoints();
+        let kind = if u.max(v) as usize >= n {
+            BatchOpErrorKind::OutOfRange
+        } else if u == v {
+            BatchOpErrorKind::SelfLoop
+        } else {
+            let present = overlay
+                .entry((u.min(v), u.max(v)))
+                .or_insert_with(|| g.has_edge(u, v));
+            if *present != op.is_insert() {
+                *present = op.is_insert();
+                continue;
+            }
+            if op.is_insert() {
+                BatchOpErrorKind::AlreadyPresent
+            } else {
+                BatchOpErrorKind::NotPresent
+            }
+        };
+        panic!("{}", BatchOpError { index, op, kind });
     }
 }
 
@@ -332,25 +365,35 @@ mod tests {
     }
 
     #[test]
-    fn validate_batch_leaves_graph_untouched() {
-        let mut g = DynGraph::new(5);
+    fn validate_batch_judges_each_op_after_the_earlier_ones() {
+        use EdgeOp::{Insert as I, Remove as R};
+        let mut g = DynGraph::new(6);
         g.insert_edge(0, 1);
-        let before = g.to_edge_list();
-        validate_batch(
-            &mut g,
-            &[
-                EdgeOp::Insert(1, 2),
-                EdgeOp::Remove(0, 1),
-                EdgeOp::Insert(0, 1),
-            ],
-        );
-        assert_eq!(g.to_edge_list(), before);
-    }
-
-    #[test]
-    #[should_panic(expected = "not present")]
-    fn validate_batch_panics_on_bad_op() {
-        let mut g = DynGraph::new(3);
-        validate_batch(&mut g, &[EdgeOp::Remove(0, 1)]);
+        let rejection = |ops: &[EdgeOp]| {
+            std::panic::catch_unwind(|| validate_batch(&g, ops))
+                .err()
+                .map(|e| *e.downcast::<String>().expect("formatted panic"))
+        };
+        // Remove-then-reinsert and insert-then-remove are both valid.
+        assert_eq!(rejection(&[I(1, 2), R(0, 1), I(1, 0), R(2, 1)]), None);
+        for (ops, msg) in [
+            (
+                &[I(2, 3), R(0, 1), I(3, 2)][..],
+                "batch op 2 (insert(3, 2)): edge already present",
+            ),
+            (
+                &[R(0, 1), R(1, 0)],
+                "batch op 1 (remove(1, 0)): edge not present",
+            ),
+            (&[I(1, 1)], "batch op 0 (insert(1, 1)): self-loop insertion"),
+            (&[R(2, 2)], "batch op 0 (remove(2, 2)): self-loop removal"),
+            (
+                &[I(2, 3), I(0, 9)],
+                "batch op 1 (insert(0, 9)): endpoint out of range",
+            ),
+        ] {
+            assert_eq!(rejection(ops).as_deref(), Some(msg));
+        }
+        assert_eq!(g.edge_count(), 1, "validation never mutates");
     }
 }

@@ -33,7 +33,7 @@ use crate::checker::{
     AccessKind, AccessRecord, AtomicKind, DivergenceRecord, OobRecord, Recorder, SCALAR_LANE,
 };
 use crate::device::DeviceConfig;
-use crate::mem::{DeviceValue, GpuBuffer};
+use crate::mem::{DeviceReader, DeviceValue, GpuBuffer};
 use crate::profile::{BlockBuckets, BlockProfile};
 use crate::stats::KernelStats;
 use std::sync::atomic::Ordering;
@@ -488,6 +488,13 @@ impl BlockCtx {
 /// inseparable.
 pub struct Lane<'a> {
     block: &'a mut BlockCtx,
+}
+
+impl DeviceReader for Lane<'_> {
+    #[inline]
+    fn read<T: DeviceValue>(&mut self, buf: &GpuBuffer<T>, i: usize) -> T {
+        Lane::read(self, buf, i)
+    }
 }
 
 impl Lane<'_> {

@@ -34,10 +34,11 @@ use crate::block::BlockCtx;
 use crate::cache::{self, BlockCacheOut, CacheConfig, L2Cache};
 use crate::checker::{self, CheckReport, Recorder};
 use crate::device::DeviceConfig;
+use crate::mem::{GpuBuffer, FIRST_BASE};
 use crate::profile::{self, BlockBuckets};
 use crate::stats::KernelStats;
 use dynbc_prof::{LaunchProfile, ProfileReport};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 /// Outcome of one kernel launch.
 #[derive(Debug, Clone)]
@@ -155,6 +156,8 @@ pub struct Gpu {
     /// launch, persists across launches (cross-launch locality is the
     /// point), only ever probed single-threaded during launch reduction.
     l2: Option<Box<L2Cache>>,
+    /// Next free synthetic address of this device's buffers.
+    next_base: AtomicU64,
 }
 
 impl Gpu {
@@ -179,6 +182,7 @@ impl Gpu {
             memsim: memsim_from_env(),
             cache_cfg: CacheConfig::from_env(),
             l2: None,
+            next_base: AtomicU64::new(FIRST_BASE),
         }
     }
 
@@ -368,6 +372,19 @@ impl Gpu {
     /// The device configuration.
     pub fn device(&self) -> &DeviceConfig {
         &self.dev
+    }
+
+    /// Allocates a buffer named `name` holding `len` copies of `init`
+    /// (see [`Gpu::upload`]).
+    pub fn alloc<T: Copy>(&self, name: &'static str, len: usize, init: T) -> GpuBuffer<T> {
+        self.upload(name, vec![init; len])
+    }
+
+    /// Uploads host data into a buffer named `name`, at an address from
+    /// this device's own bump allocator: memsim reports then depend only
+    /// on what this device allocated.
+    pub fn upload<T: Copy>(&self, name: &'static str, data: Vec<T>) -> GpuBuffer<T> {
+        GpuBuffer::from_vec_at(&self.next_base, data).named(name)
     }
 
     /// Launches a kernel over `num_blocks` blocks; `f(block, block_id)` is

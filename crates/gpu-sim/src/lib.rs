@@ -67,7 +67,7 @@ pub use grid::{
     telemetry_from_env, Gpu, LaunchReport, LaunchSpan, HOST_THREADS_ENV, MEMSIM_ENV, PROFILE_ENV,
     RACECHECK_ENV, TELEMETRY_ENV,
 };
-pub use mem::{DeviceValue, GpuBuffer};
+pub use mem::{DeviceReader, DeviceValue, GpuBuffer, HostReader};
 pub use stats::KernelStats;
 
 // The profile data model lives in the dependency-free `dynbc-prof` crate;

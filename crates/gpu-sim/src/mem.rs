@@ -104,10 +104,36 @@ impl DeviceValue for bool {
     }
 }
 
-/// Global allocator for synthetic device addresses. Buffers get disjoint,
-/// 256-byte-aligned address ranges so segment ids never collide across
-/// buffers.
-static NEXT_BASE: AtomicU64 = AtomicU64::new(0x1000);
+/// Read-only access to device buffers, so a decode helper is written
+/// once for both callers: a kernel [`Lane`](crate::Lane), which charges
+/// every read to the cost model, and host code reading through
+/// [`HostReader`], which charges nothing.
+pub trait DeviceReader {
+    /// Reads `buf[i]`.
+    fn read<T: DeviceValue>(&mut self, buf: &GpuBuffer<T>, i: usize) -> T;
+}
+
+/// The uncharged [`DeviceReader`]: a plain element read, as
+/// [`GpuBuffer::host_get`] does.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct HostReader;
+
+impl DeviceReader for HostReader {
+    #[inline]
+    fn read<T: DeviceValue>(&mut self, buf: &GpuBuffer<T>, i: usize) -> T {
+        buf.get(i)
+    }
+}
+
+/// First synthetic address a bump allocator hands out.
+pub(crate) const FIRST_BASE: u64 = 0x1000;
+
+/// Next free synthetic address for buffers made without a device
+/// (standalone fixtures). Each [`Gpu`](crate::Gpu) bumps its own counter
+/// ([`Gpu::alloc`](crate::Gpu::alloc)), so a device's buffer addresses —
+/// and memsim's cache-set mapping with them — depend only on what that
+/// device allocated.
+static NEXT_BASE: AtomicU64 = AtomicU64::new(FIRST_BASE);
 
 /// Interior-mutable element storage shareable across block threads.
 ///
@@ -142,16 +168,25 @@ impl<T: Copy + std::fmt::Debug> std::fmt::Debug for GpuBuffer<T> {
 
 #[allow(unsafe_code)]
 impl<T: Copy> GpuBuffer<T> {
-    /// Allocates a device buffer holding `len` copies of `init`.
+    /// Allocates a device buffer holding `len` copies of `init` (engines
+    /// allocate through their device instead: [`Gpu::alloc`](crate::Gpu::alloc)).
     pub fn new(len: usize, init: T) -> Self {
         Self::from_vec(vec![init; len])
     }
 
     /// Allocates a device buffer from host data.
     pub fn from_vec(data: Vec<T>) -> Self {
+        Self::from_vec_at(&NEXT_BASE, data)
+    }
+
+    /// Allocates a device buffer from host data at the address
+    /// `next_base` holds, bumping it. Ranges are disjoint and 256-byte
+    /// aligned, so segment ids never collide across buffers and every
+    /// buffer coalesces the same wherever it lands.
+    pub(crate) fn from_vec_at(next_base: &AtomicU64, data: Vec<T>) -> Self {
         let bytes = (data.len() * std::mem::size_of::<T>()) as u64;
         let span = (bytes + 256).next_multiple_of(256);
-        let base = NEXT_BASE.fetch_add(span, Ordering::Relaxed);
+        let base = next_base.fetch_add(span, Ordering::Relaxed);
         let data: Box<[SyncCell<T>]> = data
             .into_iter()
             .map(|v| SyncCell(UnsafeCell::new(v)))

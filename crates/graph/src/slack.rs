@@ -77,30 +77,12 @@ pub fn epoch_visible(e: u64, ver: u32) -> bool {
     born <= ver && ver < died
 }
 
-/// Occupied-prefix length mask of the packed [`SlackCsr::row_meta`]
-/// word (low 24 bits).
-pub const ROW_LEN_MASK: u32 = (1 << 24) - 1;
-/// The hard-dirty bit carried in [`SlackCsr::row_meta`]'s high bit: set
-/// while the row holds a tombstone or a staged death, whose visibility
-/// is *not* monotone in the version — every view must run the per-slot
-/// epoch check. (Also set when a staged birth exceeds
-/// [`STAGE_BORN_MAX`], since the device mirror carries each slot's
-/// birth version in a single byte.)
-pub const ROW_DIRTY_BIT: u32 = 1 << 31;
-/// Largest staged birth version a row can carry and stay off the
-/// hard-dirty path: the device mirror packs each slot's birth into the
-/// top byte of its adjacency word, so insert-only rows are checked for
-/// free on the read the scan already does. Stages longer than this
-/// (engines version ops `1..=stage_len`) degrade those rows to exact
-/// per-slot epoch checks — correct, just priced.
-pub const STAGE_BORN_MAX: u32 = u8::MAX as u32;
-
 /// One host-side mutation record, drained by the device mirror so it can
 /// re-upload only what changed ([`SlackCsr::take_deltas`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SlackDelta {
     /// Slots `lo..hi` of `row` changed (`adj` + `epochs`), along with the
-    /// row's `row_meta` word.
+    /// row's occupied length.
     Slots {
         /// The row whose occupied prefix changed.
         row: VertexId,
@@ -119,7 +101,6 @@ pub enum SlackDelta {
 pub struct SlackCsr {
     row_start: Vec<u32>,
     row_len: Vec<u32>,
-    row_dirty: Vec<bool>,
     adj: Vec<VertexId>,
     epochs: Vec<u64>,
     slot_tails: Vec<VertexId>,
@@ -186,7 +167,6 @@ impl SlackCsr {
         Self {
             row_start,
             row_len,
-            row_dirty: vec![false; n],
             adj,
             epochs,
             slot_tails,
@@ -243,23 +223,6 @@ impl SlackCsr {
         &self.slot_tails
     }
 
-    /// The packed per-row word kernels read: occupied-prefix length in
-    /// the low [`ROW_LEN_MASK`] bits, and [`ROW_DIRTY_BIT`] while any
-    /// occupied slot carries a tombstone, a staged death, or a staged
-    /// birth past [`STAGE_BORN_MAX`]. A view needs the per-slot epoch
-    /// check iff the hard bit is set; otherwise every slot's visibility
-    /// rides in the byte-sized birth version the device mirror packs
-    /// into the slot's adjacency word.
-    pub fn row_meta(&self, v: VertexId) -> u32 {
-        let len = self.row_len[v as usize];
-        assert!(len <= ROW_LEN_MASK, "row degree overflows row_meta packing");
-        if self.row_dirty[v as usize] {
-            len | ROW_DIRTY_BIT
-        } else {
-            len
-        }
-    }
-
     /// Cumulative slots rewritten by deltas — the O(degree) maintenance
     /// traffic the bench compares against an O(E) rebuild.
     pub fn slots_touched(&self) -> u64 {
@@ -282,8 +245,9 @@ impl SlackCsr {
         std::mem::take(&mut self.deltas)
     }
 
-    /// The occupied slot range of row `v`.
-    fn occupied(&self, v: VertexId) -> (usize, usize) {
+    /// The occupied slot range of row `v`: live slots, tombstones and
+    /// the current stage's staged slots.
+    pub fn occupied(&self, v: VertexId) -> (usize, usize) {
         let start = self.row_start[v as usize] as usize;
         (start, start + self.row_len[v as usize] as usize)
     }
@@ -294,8 +258,8 @@ impl SlackCsr {
         start + self.adj[start..end].partition_point(|&x| x < w)
     }
 
-    /// True when the settled store contains `{u, v}` (ignores unsettled
-    /// stage epochs; callers on the staged path validate upstream).
+    /// True when the store's latest version — every op spliced so far,
+    /// staged or settled — contains `{u, v}`.
     pub fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
         if u == v || u as usize >= self.vertex_count() || v as usize >= self.vertex_count() {
             return false;
@@ -311,12 +275,17 @@ impl SlackCsr {
         false
     }
 
-    /// The settled neighbours of `v`, in sorted order.
+    /// The neighbours of `v` at the latest version, in sorted order.
     pub fn neighbors(&self, v: VertexId) -> impl Iterator<Item = VertexId> + '_ {
         let (start, end) = self.occupied(v);
         (start..end)
-            .filter(|&s| self.epochs[s] == EPOCH_LIVE)
+            .filter(|&s| self.epochs[s] as u32 == u32::MAX)
             .map(|s| self.adj[s])
+    }
+
+    /// Degree of `v` at the latest version.
+    pub fn degree(&self, v: VertexId) -> u32 {
+        self.neighbors(v).count() as u32
     }
 
     // -- settled (immediate) mutation --------------------------------
@@ -375,8 +344,8 @@ impl SlackCsr {
 
     /// Ends a fused stage: normalizes every epoch written since the last
     /// settle (surviving insertions become `EPOCH_LIVE`, removed slots
-    /// become persistent tombstones), refreshes the per-row dirty bits,
-    /// and runs the deterministic compaction check.
+    /// become persistent tombstones) and runs the deterministic
+    /// compaction check.
     pub fn settle(&mut self) {
         let mut rows = std::mem::take(&mut self.stage_rows);
         rows.sort_unstable();
@@ -398,7 +367,6 @@ impl SlackCsr {
                     self.epochs[s] = EPOCH_LIVE;
                 }
             }
-            self.refresh_row_flags(v);
             if end > start {
                 self.push_slots_delta(v, start, end);
             }
@@ -426,7 +394,7 @@ impl SlackCsr {
             self.mutable,
             "SlackCsr::from_csr_exact layouts are immutable"
         );
-        let (start, mut end) = self.occupied(u);
+        let (_, mut end) = self.occupied(u);
         let mut pos = self.lower_bound(u, w);
         // Revival: a settled tombstone of the same value keeps its slot.
         let mut probe = pos;
@@ -434,7 +402,6 @@ impl SlackCsr {
             if self.epochs[probe] == EPOCH_TOMB {
                 self.epochs[probe] = epoch_pack(born, u32::MAX);
                 self.dead -= 1;
-                self.refresh_row_flags(u);
                 self.push_slots_delta(u, probe, probe + 1);
                 return;
             }
@@ -445,19 +412,15 @@ impl SlackCsr {
             // Row full: rebuild the layout with fresh slack. Slot ids
             // change, so recompute the insertion point.
             self.relayout(false);
-            let (s, e) = self.occupied(u);
-            debug_assert!(e < self.row_start[u as usize + 1] as usize);
-            let _ = s;
-            end = e;
+            end = self.occupied(u).1;
+            debug_assert!(end < self.row_start[u as usize + 1] as usize);
             pos = self.lower_bound(u, w);
         }
-        let _ = start;
         self.adj.copy_within(pos..end, pos + 1);
         self.epochs.copy_within(pos..end, pos + 1);
         self.adj[pos] = w;
         self.epochs[pos] = epoch_pack(born, u32::MAX);
         self.row_len[u as usize] += 1;
-        self.refresh_row_flags(u);
         self.push_slots_delta(u, pos, end + 1);
     }
 
@@ -488,26 +451,12 @@ impl SlackCsr {
                         self.epochs[s] = EPOCH_TOMB;
                     }
                 }
-                self.refresh_row_flags(u);
                 self.push_slots_delta(u, s, s + 1);
                 return;
             }
             s += 1;
         }
         panic!("remove_half: arc {u} -> {w} not present");
-    }
-
-    /// Recomputes row `v`'s hard-dirty flag from its epochs: set while
-    /// any occupied slot carries a tombstone or staged death
-    /// (`died != MAX`) or a staged birth past [`STAGE_BORN_MAX`] (too
-    /// big for the byte the device mirror packs into adjacency words).
-    /// One O(degree) scan after every mutation keeps the flag exactly
-    /// consistent, a pure function of the row's current epochs.
-    fn refresh_row_flags(&mut self, v: VertexId) {
-        let (start, end) = self.occupied(v);
-        self.row_dirty[v as usize] = self.epochs[start..end].iter().any(|&e| {
-            e != EPOCH_LIVE && (e as u32 != u32::MAX || (e >> 32) as u32 > STAGE_BORN_MAX)
-        });
     }
 
     /// Deterministic compaction trigger: purge tombstones once they make
@@ -569,9 +518,6 @@ impl SlackCsr {
         self.adj = adj;
         self.epochs = epochs;
         self.slot_tails = slot_tails;
-        for v in 0..n as VertexId {
-            self.refresh_row_flags(v);
-        }
         if purge {
             self.dead = 0;
         }
@@ -712,61 +658,6 @@ mod tests {
         assert_eq!(visible(&slack, 2, 4), vec![1, 3], "after op 3");
         slack.settle();
         let oracle = csr_of(5, &[(1, 2), (2, 3), (3, 4)]);
-        assert_eq!(slack.to_csr(), oracle);
-    }
-
-    #[test]
-    fn settle_marks_tombstoned_rows_dirty_and_clean_rows_fast() {
-        let csr = csr_of(4, &[(0, 1), (2, 3)]);
-        let mut slack = SlackCsr::from_csr(&csr, 25, 90);
-        slack.insert_edge_versioned(1, 2, 1);
-        assert_eq!(
-            slack.row_meta(1) & ROW_DIRTY_BIT,
-            0,
-            "a staged birth alone is not hard-dirty"
-        );
-        slack.remove_edge_versioned(2, 3, 2);
-        assert!(
-            slack.row_meta(2) & ROW_DIRTY_BIT != 0,
-            "a staged death is hard-dirty: visibility is not monotone"
-        );
-        slack.settle();
-        assert_eq!(slack.row_meta(1), 2, "settled insert leaves the row clean");
-        assert!(
-            slack.row_meta(2) & ROW_DIRTY_BIT != 0,
-            "tombstone keeps the row on the epoch-checked path"
-        );
-        assert_eq!(
-            slack.row_meta(2) & ROW_LEN_MASK,
-            2,
-            "len counts the tombstone"
-        );
-    }
-
-    #[test]
-    fn row_dirty_flag_survives_relayout_and_gates_born_overflow() {
-        let csr = csr_of(6, &[(0, 1), (0, 2)]);
-        // Zero slack: row 0 (cap 3) overflows on the second staged insert,
-        // forcing a mid-stage relayout that must preserve the soft flag.
-        let mut slack = SlackCsr::from_csr(&csr, 0, 90);
-        slack.insert_edge_versioned(0, 3, 1);
-        slack.insert_edge_versioned(0, 4, 2);
-        assert!(slack.relayouts() >= 1, "row 0 must have grown mid-stage");
-        assert_eq!(
-            slack.row_meta(0) & ROW_DIRTY_BIT,
-            0,
-            "insert-only row stays soft across the relayout"
-        );
-        // A staged birth too big for the device mirror's one-byte born
-        // degrades its row to the epoch-checked path.
-        slack.insert_edge_versioned(0, 5, STAGE_BORN_MAX + 1);
-        assert!(
-            slack.row_meta(0) & ROW_DIRTY_BIT != 0,
-            "born past the byte clamp hard-dirties the row"
-        );
-        assert_eq!(slack.row_meta(3) & ROW_DIRTY_BIT, 0, "only on overflow");
-        slack.settle();
-        let oracle = csr_of(6, &[(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]);
         assert_eq!(slack.to_csr(), oracle);
     }
 

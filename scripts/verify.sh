@@ -1,9 +1,10 @@
 #!/usr/bin/env sh
 # Repo verification gate: the dynbc-lint static analysis, tier-1
 # build+tests, the host-thread determinism regression at 1 and 4 threads,
-# the racecheck tier, profiler, memsim, and serve smoke tests, a check
-# that a retired DYNBC_BACKEND value fails loudly, and a
-# clippy-clean / warnings-clean / rustdoc-warning-clean workspace.
+# the racecheck tier, profiler and serve smoke tests, the memsim tier
+# (run three times, so an order-dependent failure cannot hide behind one
+# lucky run), a check that a retired DYNBC_BACKEND value fails loudly,
+# and a clippy-clean / warnings-clean / rustdoc-warning-clean workspace.
 # Run from anywhere inside the repo; exits non-zero on the first failure.
 set -eu
 
@@ -98,8 +99,13 @@ echo "== memsim tier: DYNBC_MEMSIM=1 observability-only contract =="
 # no BC bit and no simulated second relative to a memsim-off run;
 # tests/memsim.rs drives suite-family graphs through both the single-
 # and multi-GPU engines and checks exactly that, plus report
-# bit-determinism across host-thread counts.
-DYNBC_MEMSIM=1 cargo test -q --test memsim
+# bit-determinism across host-thread counts and against buffers other
+# threads allocate. Three runs: an order-dependent failure shows on some
+# runs only.
+for run in 1 2 3; do
+    echo "memsim tier run $run of 3"
+    DYNBC_MEMSIM=1 cargo test -q --test memsim
+done
 
 echo "== serve smoke test: shard ingest + top-k vs the CpuDynamicBc oracle =="
 # One shard over the CPU engine, a short insertion stream with

@@ -7,9 +7,9 @@
 //! fields are left out: they are the only non-deterministic part of a
 //! report.
 //!
-//! The file holds exactly one test so no other test in the process
-//! allocates simulated buffers concurrently (memsim counters depend on
-//! synthetic buffer addresses).
+//! Memsim counters depend on synthetic buffer addresses, which each
+//! device allocates from its own address space, so nothing else the
+//! process allocates can move them.
 
 use dynbc::gpusim::DeviceConfig;
 use dynbc::prelude::*;

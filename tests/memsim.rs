@@ -2,12 +2,14 @@
 //! observability-only contract (BC bits and simulated seconds identical
 //! with the model on or off), per-buffer attribution, the node- vs
 //! edge-parallel locality contrast, the `DYNBC_MEMSIM` knob, the
-//! multi-GPU merge, and bit-determinism under host-parallel execution.
+//! multi-GPU merge, and bit-determinism under host-parallel execution
+//! and whatever else the process allocates.
 
-use dynbc::gpusim::{DeviceConfig, ProfileReport, MEMSIM_ENV};
+use dynbc::gpusim::{DeviceConfig, GpuBuffer, ProfileReport, MEMSIM_ENV};
 use dynbc::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Drives a fixed mixed insert/delete stream through an engine and
 /// returns its profile report, final BC scores, and simulated seconds.
@@ -103,6 +105,28 @@ fn node_parallel_l1_hit_rate_beats_edge_parallel() {
         node_l1 > edge_l1,
         "node L1 hit rate {node_l1:.4} must beat edge {edge_l1:.4}"
     );
+}
+
+#[test]
+fn engine_memsim_report_ignores_buffers_allocated_elsewhere() {
+    // Each device allocates its buffers' synthetic addresses from its
+    // own space, so a stream's cache-set mapping cannot move while
+    // another thread allocates buffers of its own.
+    let (alone, _, _) = stream(Parallelism::Node, 1, true);
+    let stop = AtomicBool::new(false);
+    let during = std::thread::scope(|s| {
+        s.spawn(|| {
+            let mut len = 1;
+            while !stop.load(Ordering::Relaxed) {
+                std::hint::black_box(GpuBuffer::<u64>::new(len, 0));
+                len = len % 4096 + 37;
+            }
+        });
+        let (report, _, _) = stream(Parallelism::Node, 1, true);
+        stop.store(true, Ordering::Relaxed);
+        report
+    });
+    assert_eq!(alone, during);
 }
 
 #[test]

@@ -37,9 +37,8 @@ fn random_stream(el: &EdgeList, count: usize, seed: u64) -> Vec<(u32, u32)> {
     out
 }
 
-fn assert_state_matches(state: &BcState, graph: &DynGraph, ctx: &str) {
-    let csr = graph.to_csr();
-    let fresh = dynbc::bc::brandes::brandes_state(&csr, &state.sources);
+fn assert_state_matches(state: &BcState, csr: &Csr, ctx: &str) {
+    let fresh = dynbc::bc::brandes::brandes_state(csr, &state.sources);
     for i in 0..state.sources.len() {
         prop_assert_eq_stub(&state.d[i], &fresh.d[i], ctx, "d");
         for v in 0..state.n {
@@ -88,7 +87,7 @@ proptest! {
             engine.insert_edge(u, v);
             assert_state_matches(
                 engine.state(),
-                engine.graph(),
+                &engine.graph().to_csr(),
                 &format!("cpu family={family} seed={seed} step={step}"),
             );
         }
@@ -113,7 +112,7 @@ proptest! {
         let snapshot = engine.state_snapshot();
         assert_state_matches(
             &snapshot,
-            engine.graph(),
+            &engine.graph().to_csr(),
             &format!("gpu-{par} family={family} n={n} seed={seed}"),
         );
     }
